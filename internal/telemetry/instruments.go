@@ -155,6 +155,7 @@ type TransportMetrics struct {
 	TxFrames     *Counter // frames queued toward a resolved peer
 	TxDatagrams  *Counter // datagrams put on the wire (batches, hellos, acks)
 	TxBytes      *Counter // bytes put on the wire
+	TxHints      *Counter // address hints written into envelopes
 	TxDropped    *Counter // frames lost to a full queue, stash, or age-out
 	TxPending    *Gauge   // frames currently stashed awaiting address resolution
 	TxErrors     *Counter // socket write failures
@@ -174,6 +175,7 @@ func NewTransportMetrics(r *Registry) *TransportMetrics {
 		TxFrames:     NewCounter(),
 		TxDatagrams:  NewCounter(),
 		TxBytes:      NewCounter(),
+		TxHints:      NewCounter(),
 		TxDropped:    NewCounter(),
 		TxPending:    NewGauge(),
 		TxErrors:     NewCounter(),
@@ -189,6 +191,7 @@ func NewTransportMetrics(r *Registry) *TransportMetrics {
 		r.CounterFunc("vitis_transport_tx_frames_total", "Wire frames queued toward a resolved peer.", counterFn(m.TxFrames))
 		r.CounterFunc("vitis_transport_tx_datagrams_total", "Datagrams put on the wire (batches, hellos, acks).", counterFn(m.TxDatagrams))
 		r.CounterFunc("vitis_transport_tx_bytes_total", "Bytes put on the wire.", counterFn(m.TxBytes))
+		r.CounterFunc("vitis_transport_tx_hints_total", "Address hints written into envelopes.", counterFn(m.TxHints))
 		r.CounterFunc("vitis_transport_tx_dropped_total", "Frames lost to a full queue, full stash, or stash age-out.", counterFn(m.TxDropped))
 		r.GaugeFunc("vitis_transport_tx_pending", "Frames currently stashed awaiting address resolution.", gaugeFn(m.TxPending))
 		r.CounterFunc("vitis_transport_tx_errors_total", "Socket write failures.", counterFn(m.TxErrors))

@@ -36,14 +36,14 @@ type Host struct {
 	local map[simnet.NodeID]simnet.Handler
 
 	// inbox is non-nil only for async hosts.
-	inbox chan envelope
+	inbox chan inboxMsg
 
 	// tel holds the host's traffic counters; always non-nil (a private
 	// live bundle when the constructor got nil).
 	tel *telemetry.HostMetrics
 }
 
-type envelope struct {
+type inboxMsg struct {
 	from, to simnet.NodeID
 	msg      simnet.Message
 }
@@ -54,7 +54,7 @@ type envelope struct {
 // counters on /metrics.
 func NewHost(eng *simnet.Engine, tr Transport, m *telemetry.HostMetrics) *Host {
 	h := newHost(eng, tr, true, m)
-	h.inbox = make(chan envelope, inboxCap)
+	h.inbox = make(chan inboxMsg, inboxCap)
 	return h
 }
 
@@ -127,7 +127,7 @@ func (h *Host) receive(from, to simnet.NodeID, msg simnet.Message) {
 		return
 	}
 	select {
-	case h.inbox <- envelope{from, to, msg}:
+	case h.inbox <- inboxMsg{from, to, msg}:
 		h.tel.InboxDepth.Add(1)
 	default:
 		h.tel.InboxDrops.Inc()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
@@ -22,37 +23,45 @@ import (
 //
 //	offset  size  field
 //	0       2     magic "VP"
-//	2       1     envelope version (2; version-1 datagrams still decode)
+//	2       1     envelope version (2; anything else is an RxError)
 //	3       1     flags: bit0 = carries wire frames, bit1 = ack requested
 //	4       1     nSrc, then nSrc × 8-byte local node ids of the sender
 //	.       1     nHints, then nHints × (id u64, ipLen u8, ip, port u16)
 //	.       2     nFrames, then nFrames × (len u16, wire frame)
 //
-// Version 1 carried at most one frame (bit0 set, the frame ran to the end
-// of the datagram with no count or length prefix); version 2 batches: the
-// per-peer send queue coalesces frames and flushes them as one datagram
+// The per-peer send queue coalesces frames and flushes them as one datagram
 // when the batch reaches BatchBytes or FlushInterval elapses, whichever
-// comes first. Receivers accept both versions.
+// comes first.
 //
 // Receivers learn "these ids live at the datagram's source address" from
-// the src list, and third-party addresses from the hints — an epidemic
-// address book piggybacked on normal traffic, so any node mentioned in a
-// view exchange or join reply becomes routable without a directory service.
+// the src list, and third-party addresses from the hints, so any node
+// mentioned in a view exchange or join reply becomes routable without a
+// directory service. Hints are sent only when the peer can need them: a
+// frame-carrying datagram hints the ids its messages mention, each id at
+// most once per PendingTimeout/2 per peer (see hintLedger). The interval is
+// tied to PendingTimeout because that is how long the receiver keeps frames
+// stashed for an id it cannot reach yet: if the datagram with the first
+// hint is lost, the repeat still arrives while the stash is alive. Arbitrary
+// book entries pad the hints only where they bootstrap someone: hellos,
+// acks and the first datagram of a fresh queue.
 // A datagram with bit1 set requests an empty reply (a hello/ack pair), used
 // by Resolve to learn which node ids a known socket address hosts.
 const (
-	envVersion1  = 1
-	envVersion2  = 2
+	envVersion   = 2
 	flagFrame    = 1 << 0
 	flagAckReq   = 1 << 1
 	maxDatagram  = 65507
 	helloBackoff = 150 * time.Millisecond
 
-	// maxHintCap caps MaxHints so the envelope builder can deduplicate
-	// hints in a fixed-size array instead of an allocated map.
+	// maxHintCap caps MaxHints, so the builder deduplicates hints in a fixed
+	// array instead of a map, and the hints learned from one datagram.
 	maxHintCap = 16
 	// maxMentioned bounds the mentioned-id accumulation per batch.
 	maxMentioned = 64
+	// hintLedgerSize is how many recently hinted ids a queue remembers: two
+	// default hint sections, 256 bytes for each of a node's dozens of peers.
+	// On overflow the oldest entry goes and that id is hinted once more.
+	hintLedgerSize = 16
 )
 
 var envMagic = [2]byte{'V', 'P'}
@@ -133,10 +142,12 @@ type bookEntry struct {
 }
 
 // pendingFrame is one frame stashed for a peer whose address is unknown,
-// timestamped for PendingTimeout age-out.
+// timestamped for PendingTimeout age-out, with the ids it mentions so they
+// are still hinted when the stash flushes.
 type pendingFrame struct {
-	frame []byte
-	at    time.Time
+	frame     []byte
+	mentioned []simnet.NodeID
+	at        time.Time
 }
 
 // UDP is a real socket transport: one datagram socket, per-peer batch
@@ -147,16 +158,19 @@ type UDP struct {
 	conn *net.UDPConn
 	cfg  UDPConfig
 
-	mu      sync.Mutex
-	recv    RecvFunc
+	mu   sync.Mutex
+	recv RecvFunc
+	// local is replaced, never mutated (see setLocal), so the read loop
+	// can check a whole datagram's frames against one snapshot.
 	local   map[simnet.NodeID]bool
 	book    map[simnet.NodeID]bookEntry
 	queues  map[simnet.NodeID]*peerQueue
 	pending map[simnet.NodeID][]pendingFrame
 	closed  bool
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	start time.Time // origin of the hint ledgers' clock
+	done  chan struct{}
+	wg    sync.WaitGroup
 
 	// tel holds the transport's counters (see UDPConfig.Metrics); always
 	// non-nil after fill().
@@ -181,9 +195,46 @@ type peerQueue struct {
 
 	// Flusher-owned scratch, swapped with buf/mentioned at flush time so
 	// steady-state batching allocates nothing.
-	spare          []byte
-	spareMentioned []simnet.NodeID
-	out            []byte // datagram build buffer
+	spare []byte
+	hints hintLedger
+	out   []byte // datagram build buffer
+}
+
+// hintLedger is what a peer's flusher knows about the hints it owes that
+// peer: the ids the batch in hand mentions and a fixed table of the ids
+// hinted lately. It dies with the queue; a peer back from idle starts afresh.
+type hintLedger struct {
+	peer      simnet.NodeID   // never hinted: it knows where it lives
+	mentioned []simnet.NodeID // ids mentioned by the batch being written
+	padded    bool            // the queue's first datagram went out, with book padding
+	slots     [hintLedgerSize]hintSlot
+}
+
+// hintSlot records that id's address was sent at time at on the UDP.start
+// clock; at 0 marks a free slot.
+type hintSlot struct {
+	id simnet.NodeID
+	at time.Duration
+}
+
+// slot returns where to record id's next hint — its own slot, else a free
+// one, else the oldest — or nil when the peer was sent id less than every
+// ago.
+func (h *hintLedger) slot(id simnet.NodeID, now, every time.Duration) *hintSlot {
+	oldest := &h.slots[0]
+	for i := range h.slots {
+		s := &h.slots[i]
+		if s.id == id && s.at != 0 {
+			if now-s.at < every {
+				return nil
+			}
+			return s
+		}
+		if s.at < oldest.at {
+			oldest = s
+		}
+	}
+	return oldest
 }
 
 // ListenUDP opens a UDP transport on addr (e.g. "127.0.0.1:0").
@@ -205,6 +256,7 @@ func ListenUDP(addr string, cfg UDPConfig) (*UDP, error) {
 		book:    make(map[simnet.NodeID]bookEntry),
 		queues:  make(map[simnet.NodeID]*peerQueue),
 		pending: make(map[simnet.NodeID][]pendingFrame),
+		start:   time.Now(),
 		done:    make(chan struct{}),
 	}
 	u.wg.Add(2)
@@ -225,17 +277,21 @@ func (u *UDP) SetReceiver(recv RecvFunc) {
 
 // Attach implements Transport; attached ids are announced in every
 // outgoing envelope's src list.
-func (u *UDP) Attach(id simnet.NodeID) {
-	u.mu.Lock()
-	u.local[id] = true
-	u.mu.Unlock()
-}
+func (u *UDP) Attach(id simnet.NodeID) { u.setLocal(id, true) }
 
 // Detach implements Transport.
-func (u *UDP) Detach(id simnet.NodeID) {
+func (u *UDP) Detach(id simnet.NodeID) { u.setLocal(id, false) }
+
+// setLocal swaps in a copy of the hosted-id set with id added or removed.
+func (u *UDP) setLocal(id simnet.NodeID, hosted bool) {
 	u.mu.Lock()
-	delete(u.local, id)
-	u.mu.Unlock()
+	defer u.mu.Unlock()
+	u.local = maps.Clone(u.local)
+	if hosted {
+		u.local[id] = true
+	} else {
+		delete(u.local, id)
+	}
 }
 
 // SetPeer seeds the address book, e.g. with a bootstrap server's address
@@ -315,7 +371,7 @@ func (u *UDP) stashLocked(from, to simnet.NodeID, msg simnet.Message) error {
 		u.tel.TxDropped.Inc()
 		u.tel.TxPending.Add(-1)
 	}
-	u.pending[to] = append(stash, pendingFrame{frame: frame, at: time.Now()})
+	u.pending[to] = append(stash, pendingFrame{frame: frame, mentioned: appendMentionedIDs(nil, msg), at: time.Now()})
 	u.tel.TxPending.Add(1)
 	return nil
 }
@@ -332,6 +388,7 @@ func (u *UDP) queueLocked(to simnet.NodeID) *peerQueue {
 			kick:       make(chan struct{}, 1),
 			addr:       e.addr,
 			lastActive: time.Now(),
+			hints:      hintLedger{peer: to},
 		}
 		u.queues[to] = q
 		u.wg.Add(1)
@@ -394,7 +451,7 @@ func (u *UDP) appendFrameLocked(q *peerQueue, from, to simnet.NodeID, msg simnet
 
 // appendRawLocked queues an already-encoded frame (the pending-stash flush
 // path). Caller holds q.mu; maxFrame as in appendFrameLocked.
-func (u *UDP) appendRawLocked(q *peerQueue, frame []byte, maxFrame int) {
+func (u *UDP) appendRawLocked(q *peerQueue, frame []byte, mentioned []simnet.NodeID, maxFrame int) {
 	if len(frame) > maxFrame || len(q.buf)+2+len(frame) > u.cfg.QueueBytes {
 		u.tel.TxDropped.Inc()
 		return
@@ -403,6 +460,9 @@ func (u *UDP) appendRawLocked(q *peerQueue, frame []byte, maxFrame int) {
 	q.buf = append(q.buf, frame...)
 	q.frames++
 	q.lastActive = time.Now()
+	if len(q.mentioned) < maxMentioned {
+		q.mentioned = append(q.mentioned, mentioned...)
+	}
 	u.tel.TxFrames.Inc()
 	u.tel.QueueDepth.Add(1)
 }
@@ -573,9 +633,9 @@ func (u *UDP) flushLoop(to simnet.NodeID, q *peerQueue) {
 			flushAt = now.Add(u.cfg.FlushInterval)
 		}
 		if len(q.buf) >= u.cfg.BatchBytes || (!flushAt.IsZero() && !now.Before(flushAt)) {
-			data, nFrames, mentioned, addr := q.takeLocked()
+			data, nFrames, addr := q.takeLocked()
 			q.mu.Unlock()
-			u.writeBatch(q, data, nFrames, mentioned, addr)
+			u.writeBatch(q, data, nFrames, addr)
 			flushAt = time.Time{}
 			now = time.Now()
 			q.mu.Lock()
@@ -617,19 +677,19 @@ func (u *UDP) flushLoop(to simnet.NodeID, q *peerQueue) {
 // takeLocked hands the batch to the flusher by swapping buffers, so the
 // socket write happens outside q.mu and steady state reuses both buffers.
 // Caller holds q.mu.
-func (q *peerQueue) takeLocked() (data []byte, nFrames int, mentioned []simnet.NodeID, addr *net.UDPAddr) {
+func (q *peerQueue) takeLocked() (data []byte, nFrames int, addr *net.UDPAddr) {
 	data, q.buf, q.spare = q.buf, q.spare[:0], q.buf
-	mentioned, q.mentioned, q.spareMentioned = q.mentioned, q.spareMentioned[:0], q.mentioned
+	q.mentioned, q.hints.mentioned = q.hints.mentioned[:0], q.mentioned
 	nFrames = q.frames
 	q.frames = 0
-	return data, nFrames, mentioned, q.addr
+	return data, nFrames, q.addr
 }
 
 // writeBatch wraps a batch of length-prefixed frames into one or more
 // envelopes — normally exactly one; more only when senders outran the
 // flusher — and writes them. Runs on the flusher goroutine with no locks
 // held except briefly u.mu per envelope.
-func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, mentioned []simnet.NodeID, addr *net.UDPAddr) {
+func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, addr *net.UDPAddr) {
 	off := 0
 	for off < len(data) {
 		start, n := off, 0
@@ -643,7 +703,7 @@ func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, mentioned []sim
 			n++
 		}
 		u.mu.Lock()
-		q.out = u.appendEnvelopeLocked(q.out[:0], flagFrame, data[start:off], n, mentioned)
+		q.out = u.appendEnvelopeLocked(q.out[:0], flagFrame, data[start:off], n, &q.hints)
 		u.mu.Unlock()
 		u.writeDatagram(q.out, addr) //nolint:errcheck // accounted inside
 		u.tel.QueueDepth.Add(-int64(n))
@@ -677,7 +737,7 @@ func (u *UDP) learnLocked(id simnet.NodeID, addr *net.UDPAddr) {
 		maxFrame := maxDatagram - u.envOverheadLocked()
 		q.mu.Lock()
 		for _, pf := range stash {
-			u.appendRawLocked(q, pf.frame, maxFrame)
+			u.appendRawLocked(q, pf.frame, pf.mentioned, maxFrame)
 		}
 		q.mu.Unlock()
 		u.tel.TxPending.Add(-int64(len(stash)))
@@ -687,19 +747,20 @@ func (u *UDP) learnLocked(id simnet.NodeID, addr *net.UDPAddr) {
 
 // appendEnvelopeLocked appends a complete datagram envelope around a batch
 // of length-prefixed frames (or none, for hellos and acks), piggybacking
-// our local ids and up to MaxHints address hints. Hints prefer the ids
-// mentioned inside the batched messages (so a node receiving a view
-// exchange can immediately reach the peers it was just told about), then
-// pad with arbitrary book entries (Go's random map order spreads the rest
-// of the book epidemically). Allocation-free when dst has capacity —
-// hint dedup uses a fixed array, not a map. Caller holds u.mu.
-func (u *UDP) appendEnvelopeLocked(dst []byte, flags byte, frames []byte, nFrames int, mentioned []simnet.NodeID) []byte {
+// our local ids and up to MaxHints address hints: the ids mentioned inside
+// the batched messages that h says the peer is owed (so a node receiving a
+// view exchange can reach the peers it was just told about), and arbitrary
+// book entries only on hellos, acks (no queue: h is nil) and a queue's first
+// datagram, where Go's random map order spreads the book to a newcomer.
+// Allocation-free when dst has capacity — hint dedup uses a fixed array, not
+// a map. Caller holds u.mu and, if h is not nil, is h's flusher.
+func (u *UDP) appendEnvelopeLocked(dst []byte, flags byte, frames []byte, nFrames int, h *hintLedger) []byte {
 	if nFrames > 0 {
 		flags |= flagFrame
 	} else {
 		flags &^= flagFrame
 	}
-	dst = append(dst, envMagic[0], envMagic[1], envVersion2, flags)
+	dst = append(dst, envMagic[0], envMagic[1], envVersion, flags)
 
 	nSrcAt := len(dst)
 	dst = append(dst, 0)
@@ -718,19 +779,35 @@ func (u *UDP) appendEnvelopeLocked(dst []byte, flags byte, frames []byte, nFrame
 	budget := maxDatagram - len(dst) - 2 - len(frames)
 	var added [maxHintCap]simnet.NodeID
 	nh := 0
-	for _, id := range mentioned {
-		if nh >= u.cfg.MaxHints {
-			break
+	pad := nFrames == 0 || h != nil && !h.padded
+	if h != nil {
+		h.padded = true
+		now := time.Since(u.start)
+		for _, id := range h.mentioned {
+			if nh >= u.cfg.MaxHints {
+				break
+			}
+			if s := h.slot(id, now, u.cfg.PendingTimeout/2); id != h.peer && s != nil {
+				was := nh
+				dst, nh, budget = u.appendHintLocked(dst, id, &added, nh, budget)
+				if nh > was {
+					*s = hintSlot{id: id, at: now}
+				}
+			}
 		}
-		dst, nh, budget = u.appendHintLocked(dst, id, &added, nh, budget)
 	}
-	for id := range u.book {
-		if nh >= u.cfg.MaxHints {
-			break
+	if pad {
+		for id := range u.book {
+			if nh >= u.cfg.MaxHints {
+				break
+			}
+			if h == nil || id != h.peer {
+				dst, nh, budget = u.appendHintLocked(dst, id, &added, nh, budget)
+			}
 		}
-		dst, nh, budget = u.appendHintLocked(dst, id, &added, nh, budget)
 	}
 	dst[nHintsAt] = byte(nh)
+	u.tel.TxHints.Add(uint64(nh))
 
 	dst = append(dst, byte(nFrames>>8), byte(nFrames))
 	return append(dst, frames...)
@@ -851,58 +928,72 @@ func (u *UDP) readLoop() {
 	}
 }
 
-// handleDatagram parses one envelope: learn addresses, answer acks,
-// deliver the frames. Steady-state datagrams from known peers parse
+// envelope is one parsed datagram; its slices alias the datagram.
+type envelope struct {
+	flags   byte
+	src     []byte // the sender's local ids, 8 bytes each
+	nHints  int
+	hints   []byte // nHints × (id u64, ipLen u8, ip, port u16)
+	nFrames int
+	frames  []byte // nFrames × (len u16, wire frame)
+}
+
+var errEnvelope = errors.New("transport: malformed envelope")
+
+// parseEnvelope checks a datagram against the envelope layout down to the
+// last byte and splits it into its sections. It is pure: no locks, no book
+// mutation, no allocation; FuzzEnvelope holds it to that.
+func parseEnvelope(b []byte) (envelope, error) {
+	var e envelope
+	if len(b) < 5 || b[0] != envMagic[0] || b[1] != envMagic[1] || b[2] != envVersion {
+		return e, errEnvelope
+	}
+	e.flags = b[3]
+	n, rest := 8*int(b[4]), b[5:]
+	if len(rest) < n+1 {
+		return e, errEnvelope
+	}
+	e.src, e.nHints, rest = rest[:n], int(rest[n]), rest[n+1:]
+	e.hints = rest
+	for i := 0; i < e.nHints; i++ {
+		if len(rest) < 9 || rest[8] != 4 && rest[8] != 16 || len(rest) < 9+int(rest[8])+2 {
+			return e, errEnvelope
+		}
+		rest = rest[9+int(rest[8])+2:]
+	}
+	e.hints = e.hints[:len(e.hints)-len(rest)]
+	if len(rest) < 2 {
+		return e, errEnvelope
+	}
+	e.nFrames, rest = int(rest[0])<<8|int(rest[1]), rest[2:]
+	e.frames = rest
+	for i := 0; i < e.nFrames; i++ {
+		if len(rest) < 2 || len(rest) < 2+(int(rest[0])<<8|int(rest[1])) {
+			return e, errEnvelope
+		}
+		rest = rest[2+(int(rest[0])<<8|int(rest[1])):]
+	}
+	if len(rest) != 0 || (e.flags&flagFrame != 0) != (e.nFrames > 0) {
+		return e, errEnvelope
+	}
+	return e, nil
+}
+
+// handleDatagram applies one envelope: learn addresses, answer acks,
+// deliver the frames. Steady-state datagrams from known peers are handled
 // without allocating — address copies happen only when the book actually
 // changes.
 func (u *UDP) handleDatagram(b []byte, src *net.UDPAddr) {
-	if len(b) < 6 || b[0] != envMagic[0] || b[1] != envMagic[1] {
+	env, err := parseEnvelope(b)
+	if err != nil {
 		u.tel.RxErrors.Inc()
 		return
 	}
-	version := b[2]
-	if version != envVersion1 && version != envVersion2 {
-		u.tel.RxErrors.Inc()
-		return
-	}
-	flags := b[3]
-	rest := b[4:]
-
-	nSrc := int(rest[0])
-	rest = rest[1:]
-	if len(rest) < nSrc*8 {
-		u.tel.RxErrors.Inc()
-		return
-	}
-	srcIDs := rest[:nSrc*8]
-	rest = rest[nSrc*8:]
-
-	if len(rest) < 1 {
-		u.tel.RxErrors.Inc()
-		return
-	}
-	nHints := int(rest[0])
-	rest = rest[1:]
-	hints := rest
-	for i := 0; i < nHints; i++ { // validate before taking any locks
-		if len(rest) < 9 {
-			u.tel.RxErrors.Inc()
-			return
-		}
-		ipLen := int(rest[8])
-		if ipLen != 4 && ipLen != 16 || len(rest) < 9+ipLen+2 {
-			u.tel.RxErrors.Inc()
-			return
-		}
-		rest = rest[9+ipLen+2:]
-	}
-	hints = hints[:len(hints)-len(rest)]
-
 	now := time.Now()
 	u.mu.Lock()
 	var srcCopy *net.UDPAddr
-	for i := 0; i < nSrc; i++ {
-		id := simnet.NodeID(takeU64(srcIDs[i*8:]))
+	for ids := env.src; len(ids) > 0; ids = ids[8:] {
+		id := simnet.NodeID(takeU64(ids))
 		if e, ok := u.book[id]; ok && udpAddrEqual(e.addr, src) {
 			e.seen = now // refresh in place: no copy, no churn
 			u.book[id] = e
@@ -913,11 +1004,12 @@ func (u *UDP) handleDatagram(b []byte, src *net.UDPAddr) {
 		}
 		u.learnLocked(id, srcCopy)
 	}
-	for len(hints) > 0 {
-		id := simnet.NodeID(takeU64(hints))
-		ipLen := int(hints[8])
-		// Hints are second-hand: never override what the source address
-		// of a peer's own datagram taught us.
+	// Hints are second-hand, so a datagram may teach only as many as an
+	// honest sender can write, and never overrides what the source address
+	// of a peer's own datagram taught us.
+	hints := env.hints
+	for i := 0; i < env.nHints && i < maxHintCap; i++ {
+		id, ipLen := simnet.NodeID(takeU64(hints)), int(hints[8])
 		if _, ok := u.book[id]; !ok {
 			ip := append(net.IP(nil), hints[9:9+ipLen]...)
 			port := int(hints[9+ipLen])<<8 | int(hints[9+ipLen+1])
@@ -925,68 +1017,36 @@ func (u *UDP) handleDatagram(b []byte, src *net.UDPAddr) {
 		}
 		hints = hints[9+ipLen+2:]
 	}
-	recv := u.recv
+	var ack []byte
+	if env.flags&flagAckReq != 0 && !u.closed {
+		ack = u.appendEnvelopeLocked(make([]byte, 0, 512), 0, nil, 0, nil)
+	}
+	recv, hosted := u.recv, u.local
 	u.mu.Unlock()
 	u.tel.RxDatagrams.Inc()
-
-	if flags&flagAckReq != 0 {
-		u.mu.Lock()
-		ack := u.appendEnvelopeLocked(make([]byte, 0, 512), 0, nil, 0, nil)
-		closed := u.closed
-		u.mu.Unlock()
-		if !closed {
-			u.writeDatagram(ack, src) //nolint:errcheck // accounted inside
-		}
+	if env.nHints > maxHintCap {
+		u.tel.RxErrors.Inc()
+	}
+	if ack != nil {
+		u.writeDatagram(ack, src) //nolint:errcheck // accounted inside
 	}
 
-	switch version {
-	case envVersion1:
-		// Legacy single-frame layout: the frame runs to the end.
-		if flags&flagFrame != 0 {
-			u.dispatchFrame(rest, recv)
-		}
-	case envVersion2:
-		if flags&flagFrame == 0 {
-			return
-		}
-		if len(rest) < 2 {
-			u.tel.RxErrors.Inc()
-			return
-		}
-		nFrames := int(rest[0])<<8 | int(rest[1])
-		rest = rest[2:]
-		for i := 0; i < nFrames; i++ {
-			if len(rest) < 2 {
-				u.tel.RxErrors.Inc()
-				return
-			}
-			flen := int(rest[0])<<8 | int(rest[1])
-			rest = rest[2:]
-			if len(rest) < flen {
-				u.tel.RxErrors.Inc()
-				return
-			}
-			u.dispatchFrame(rest[:flen], recv)
-			rest = rest[flen:]
-		}
-		if len(rest) != 0 {
-			u.tel.RxErrors.Inc()
-		}
+	for frames := env.frames; len(frames) > 0; {
+		flen := int(frames[0])<<8 | int(frames[1])
+		u.dispatchFrame(frames[2:2+flen], recv, hosted)
+		frames = frames[2+flen:]
 	}
 }
 
 // dispatchFrame decodes one wire frame and hands it to the receiver if the
-// destination id is hosted here.
-func (u *UDP) dispatchFrame(frame []byte, recv RecvFunc) {
+// destination id is in hosted, the datagram's snapshot of u.local.
+func (u *UDP) dispatchFrame(frame []byte, recv RecvFunc, hosted map[simnet.NodeID]bool) {
 	from, to, msg, err := wire.Decode(frame)
 	if err != nil {
 		u.tel.RxErrors.Inc()
 		return
 	}
-	u.mu.Lock()
-	hosted := u.local[to]
-	u.mu.Unlock()
-	if !hosted {
+	if !hosted[to] {
 		u.tel.RxUnroutable.Inc()
 		return
 	}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -121,45 +120,6 @@ func TestUDPSendZeroAlloc(t *testing.T) {
 	}) / batch
 	if perFrame != 0 {
 		t.Fatalf("batched Send costs %v allocs/frame, want 0", perFrame)
-	}
-}
-
-// TestUDPEnvelopeV1Compat checks a legacy single-frame version-1 envelope
-// still decodes: the frame is delivered and the src id learned.
-func TestUDPEnvelopeV1Compat(t *testing.T) {
-	server := listenTestUDP(t)
-	server.Attach(42)
-	got := make(chan simnet.Message, 1)
-	server.SetReceiver(func(from, to simnet.NodeID, msg simnet.Message) { got <- msg })
-
-	frame, err := wire.Encode(7, 42, core.PullReq{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dgram := []byte{'V', 'P', envVersion1, flagFrame, 1}
-	dgram = appendU64(dgram, 7) // src id list
-	dgram = append(dgram, 0)    // no hints
-	dgram = append(dgram, frame...)
-
-	conn, err := net.DialUDP("udp", nil, server.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(dgram); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case msg := <-got:
-		if _, ok := msg.(core.PullReq); !ok {
-			t.Fatalf("got %#v, want core.PullReq", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("v1 envelope never delivered")
-	}
-	if _, ok := server.PeerAddr(7); !ok {
-		t.Fatal("src id of the v1 envelope was not learned")
 	}
 }
 
