@@ -14,8 +14,8 @@
 //
 // The process exits non-zero when delivery falls below -min-delivery or
 // when goroutine counts keep growing across two post-drain scrapes (a
-// leak detector: idle per-peer flushers must tear themselves down and
-// steady-state gossip must not mint new ones without bound).
+// leak detector: a node's goroutine population does not depend on how many
+// peers it knows, so steady-state gossip must not mint new ones).
 //
 // With -offline-frac F, every node runs with a durable event store and a
 // fraction F of the subscribers is held offline for the whole publish
@@ -159,6 +159,7 @@ type summary struct {
 	GoroutinesJoined int64   `json:"goroutines_total_at_join"`
 	GoroutinesFinal  int64   `json:"goroutines_total_at_drain"`
 	GoroutineGrowth  int64   `json:"goroutines_steady_growth"`
+	GoroutinesMax    int64   `json:"goroutines_max_per_node_at_drain"`
 
 	DeliveryP50Sec float64  `json:"delivery_latency_p50_sec,omitempty"`
 	DeliveryP99Sec float64  `json:"delivery_latency_p99_sec,omitempty"`
@@ -711,9 +712,8 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 	}
 
 	// Leak detector: with the system drained and only background gossip
-	// running, the goroutine population must be flat. A transport that
-	// leaks per-peer flushers keeps growing here as shuffles touch new
-	// peers; idle teardown keeps it steady.
+	// running, the goroutine population must be flat. A node that starts
+	// a goroutine per peer keeps growing here as shuffles touch new peers.
 	time.Sleep(cfg.stableFor)
 	steadyScrape, err := monScrape()
 	if err != nil {
@@ -751,6 +751,7 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 		if rss := uint64(m["vitis_proc_max_rss_bytes"]); rss > s.PeakRSSMax {
 			s.PeakRSSMax = rss
 		}
+		s.GoroutinesMax = max(s.GoroutinesMax, int64(m["vitis_go_goroutines"]))
 	}
 	if expected > 0 {
 		s.DeliveryRatio = float64(delivered) / float64(expected)
@@ -809,9 +810,9 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 		loadSec, s.MsgsPerSec, s.MsgsPerSecCore, s.Cores)
 	fmt.Fprintf(out, "wire: %d frames in %d datagrams (%.2f frames/datagram), %d tx bytes, %d rx bytes, %.0f wire bytes/delivery\n",
 		s.TxFrames, s.TxDatagrams, s.FramesPerDgram, s.TxBytes, s.RxBytes, s.BytesPerDelivery)
-	fmt.Fprintf(out, "memory: peak RSS max %.1f MiB per node, %.1f MiB total; goroutines %d at join -> %d drained, steady growth %d over %s (budget %d)\n",
+	fmt.Fprintf(out, "memory: peak RSS max %.1f MiB per node, %.1f MiB total; goroutines %d at join -> %d drained (at most %d per node), steady growth %d over %s (budget %d)\n",
 		float64(s.PeakRSSMax)/(1<<20), float64(s.PeakRSSTotal)/(1<<20),
-		s.GoroutinesJoined, s.GoroutinesFinal, s.GoroutineGrowth, cfg.stableFor, s.goroutineBudget)
+		s.GoroutinesJoined, s.GoroutinesFinal, s.GoroutinesMax, s.GoroutineGrowth, cfg.stableFor, s.goroutineBudget)
 
 	if cfg.benchOut != "" {
 		if err := writeBench(cfg, s); err != nil {
@@ -892,7 +893,7 @@ func writeBench(cfg clusterConfig, s *summary) error {
 		cfg.nodes, cfg.topics, cfg.subsPerNode, cfg.alpha, cfg.totalRate, cfg.publishFor, cfg.settle, cfg.periodMs, cfg.seed)
 	notes := []string{
 		"expected_deliveries = sum over topics of published(topic) x subscribers(topic); each topic has one dedicated publisher, itself a subscriber",
-		"goroutines_steady_growth compares vitis_go_goroutines totals across two post-drain scrapes one stable-for apart; a per-peer flusher leak grows here",
+		"goroutines_steady_growth compares vitis_go_goroutines totals across two post-drain scrapes one stable-for apart; a goroutine leaked per peer or per message grows here",
 	}
 	if cfg.offlineFrac > 0 {
 		cmd += fmt.Sprintf(" -offline-frac %g", cfg.offlineFrac)

@@ -129,6 +129,13 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("goroutines grew by %d at steady state (drained total %d) — per-peer leak",
 			sum.GoroutineGrowth, sum.GoroutinesFinal)
 	}
+	// A vitis-node runs 10 goroutines whatever the cluster size (main, the
+	// driver, the transport's reader, reaper and deadline, the HTTP server,
+	// signal handling); the rest is headroom for connections being scraped.
+	// One goroutine per known peer would make it 25 here.
+	if sum.GoroutinesMax > 16 {
+		t.Fatalf("a node runs %d goroutines, want at most 16 whatever the number of peers", sum.GoroutinesMax)
+	}
 	if sum.TxDatagrams == 0 || sum.TxFrames < sum.TxDatagrams {
 		t.Fatalf("implausible wire counters: frames=%d datagrams=%d", sum.TxFrames, sum.TxDatagrams)
 	}

@@ -166,6 +166,9 @@ type TransportMetrics struct {
 	RxUnroutable *Counter // frames for ids not hosted here
 	KnownPeers   *Gauge   // address-book entries
 	QueueDepth   *Gauge   // frames sitting in per-peer batch buffers
+	// FlushWait is how long each written datagram's first frame sat in its
+	// batch buffer, in seconds. Registry-only: nil without one.
+	FlushWait *Histogram
 }
 
 // NewTransportMetrics builds live transport instruments, registered under
@@ -202,6 +205,9 @@ func NewTransportMetrics(r *Registry) *TransportMetrics {
 		r.CounterFunc("vitis_transport_rx_unroutable_total", "Frames addressed to ids not hosted here.", counterFn(m.RxUnroutable))
 		r.GaugeFunc("vitis_transport_known_peers", "Entries in the epidemic address book.", gaugeFn(m.KnownPeers))
 		r.GaugeFunc("vitis_transport_send_queue_depth", "Frames waiting in per-peer batch buffers.", gaugeFn(m.QueueDepth))
+		// Buckets span a short protocol turn up to ten default FlushIntervals.
+		m.FlushWait = r.Histogram("vitis_transport_flush_wait_seconds", "Time from a batch's first frame being queued to each of its datagrams being written.",
+			0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)
 	}
 	return m
 }

@@ -15,6 +15,7 @@ func (b *blackhole) SetReceiver(f transport.RecvFunc)                      { b.r
 func (b *blackhole) Attach(simnet.NodeID)                                  {}
 func (b *blackhole) Detach(simnet.NodeID)                                  {}
 func (b *blackhole) Send(from, to simnet.NodeID, msg simnet.Message) error { return nil }
+func (b *blackhole) Flush()                                                {}
 func (b *blackhole) Close() error                                          { return nil }
 
 // BenchmarkSendBare is the baseline: the carrier alone.

@@ -434,6 +434,11 @@ func (w *wrapped) Send(from, to simnet.NodeID, msg simnet.Message) error {
 	return err
 }
 
+// Flush implements transport.Transport by flushing the inner carrier. Held,
+// delayed and stashed messages are not queued sends: they reach the inner
+// carrier later, from a timer or Heal, and its own deadline writes them.
+func (w *wrapped) Flush() { w.inner.Flush() }
+
 // Close implements transport.Transport. It closes only the inner
 // transport; the controller (possibly shared by other wrappers) is closed
 // separately via Controller.Close.

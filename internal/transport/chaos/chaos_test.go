@@ -1,10 +1,13 @@
 package chaos
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vitis/internal/core"
 	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
 	"vitis/internal/transport"
@@ -21,6 +24,7 @@ type fakeTransport struct {
 func (f *fakeTransport) SetReceiver(recv transport.RecvFunc)  { f.recv = recv }
 func (f *fakeTransport) Attach(id simnet.NodeID)              {}
 func (f *fakeTransport) Detach(id simnet.NodeID)              {}
+func (f *fakeTransport) Flush()                               {}
 func (f *fakeTransport) Close() error                         { return nil }
 func (f *fakeTransport) inject(from, to simnet.NodeID, m int) { f.recv(from, to, m) }
 
@@ -53,6 +57,50 @@ func sendPattern(c *Controller, n int) []int {
 		tr.Send(1, 2, i)
 	}
 	return ft.snapshot()
+}
+
+// TestWrapForwardsFlush drives a Host over a chaos-wrapped UDP transport
+// whose own deadline is an hour away: the frame arrives, so the driver's
+// turn flush went through the wrapper to the socket.
+func TestWrapForwardsFlush(t *testing.T) {
+	listen := func(cfg transport.UDPConfig) *transport.UDP {
+		u, err := transport.ListenUDP("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { u.Close() })
+		return u
+	}
+	server := listen(transport.UDPConfig{})
+	server.Attach(2)
+	var rx atomic.Uint64
+	server.SetReceiver(func(from, to simnet.NodeID, msg simnet.Message) { rx.Add(1) })
+	client := listen(transport.UDPConfig{FlushInterval: time.Hour})
+	if err := client.SetPeer(2, server.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+
+	ctl := New(Config{})
+	defer ctl.Close()
+	eng := simnet.NewEngine(1)
+	h := transport.NewHost(eng, ctl.Wrap(client), nil)
+	eng.Schedule(0, func() { h.Send(1, 2, core.PullReq{}) })
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		transport.NewDriver(h).Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	for deadline := time.Now().Add(5 * time.Second); rx.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the driven host's frame never left the wrapped transport")
+		}
+	}
 }
 
 func TestSeededDeterminism(t *testing.T) {

@@ -17,6 +17,13 @@ const idlePoll = 100 * time.Millisecond
 // and inbound transport messages are dispatched on the driver goroutine, so
 // protocol code keeps the single-threaded execution model it has in the
 // simulator.
+//
+// One pass of Run's loop is a turn: fire the due timers, drain the inbox,
+// then Flush the host. Everything the turn sent to one peer — a heartbeat's
+// profile and the T-Man request to the same friend, the forwards caused by
+// one inbox drain, a catch-up page — leaves a batching transport as one
+// datagram, written here, on the protocol goroutine, without waiting for a
+// timer.
 type Driver struct {
 	host  *Host
 	start time.Time
@@ -39,8 +46,9 @@ func (d *Driver) Run(ctx context.Context) {
 	timer := time.NewTimer(idlePoll)
 	defer timer.Stop()
 	for {
-		// Advance virtual time to "now", firing due timers, then drain
-		// any inbound messages that arrived in the meantime.
+		// Advance virtual time to "now", firing due timers, drain any
+		// inbound messages that arrived in the meantime, and put what both
+		// produced on the wire.
 		eng.RunUntil(d.simNow())
 	drain:
 		for {
@@ -52,6 +60,7 @@ func (d *Driver) Run(ctx context.Context) {
 				break drain
 			}
 		}
+		d.host.Flush()
 
 		wait := idlePoll
 		if next, ok := eng.NextAt(); ok {

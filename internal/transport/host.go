@@ -120,6 +120,10 @@ func (h *Host) Send(from, to simnet.NodeID, msg simnet.Message) {
 	}
 }
 
+// Flush writes what this turn's Sends left queued in the transport. The
+// Driver calls it at the end of every turn.
+func (h *Host) Flush() { h.tr.Flush() }
+
 // receive is the RecvFunc installed on the transport.
 func (h *Host) receive(from, to simnet.NodeID, msg simnet.Message) {
 	if h.inbox == nil {

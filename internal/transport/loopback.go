@@ -101,6 +101,9 @@ func (e *LoopbackEndpoint) Send(from, to simnet.NodeID, msg simnet.Message) erro
 	return nil
 }
 
+// Flush implements Transport; Send delivers inline, so nothing is queued.
+func (e *LoopbackEndpoint) Flush() {}
+
 // Close implements Transport by closing the whole bus.
 func (e *LoopbackEndpoint) Close() error {
 	e.bus.mu.Lock()

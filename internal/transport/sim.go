@@ -51,5 +51,8 @@ func (s *Sim) Send(from, to simnet.NodeID, msg simnet.Message) error {
 	return nil
 }
 
+// Flush implements Transport; the simulator network queues nothing here.
+func (s *Sim) Flush() {}
+
 // Close implements Transport; the simulator owns no resources to release.
 func (s *Sim) Close() error { return nil }

@@ -9,13 +9,14 @@
 //   - Transport moves messages between processes (or fakes doing so). Three
 //     implementations exist: Sim (the existing simulator network behind the
 //     same interface), Loopback (in-process, but every message round-trips
-//     through the wire codec), and UDP (real sockets, per-peer send queues,
-//     bounded buffers).
+//     through the wire codec), and UDP (real sockets, bounded per-peer
+//     batch buffers, one writer per socket).
 //   - Host implements simnet.Net on top of a Transport, so core.Node,
 //     sampling, tman and bootstrap run unchanged.
 //   - Driver executes a Host's discrete-event engine against the wall
 //     clock, turning the simulator's virtual timers into real ones and
-//     injecting inbound transport messages as events.
+//     injecting inbound transport messages as events. It ends every turn
+//     with Transport.Flush, which is when a batching carrier writes.
 //
 // The simulation path is untouched: experiments keep using *simnet.Network
 // directly, so simulated runs remain byte-identical and deterministic.
@@ -45,8 +46,15 @@ type Transport interface {
 	Detach(id simnet.NodeID)
 	// Send transmits msg to the node `to`. A nil error means the message
 	// was handed to the medium (delivery itself is best-effort, exactly
-	// like UDP); an error means it was definitely not sent.
+	// like UDP) or queued for the next Flush; an error means it was
+	// definitely not sent.
 	Send(from, to simnet.NodeID, msg simnet.Message) error
+	// Flush puts on the medium whatever earlier Sends left queued. The
+	// Driver calls it once per turn. It is idempotent, cheap when nothing is
+	// queued and safe from any goroutine; a carrier that queues must also
+	// flush on its own within a bounded time, for senders nobody drives.
+	// Carriers that send at once implement it as a no-op.
+	Flush()
 	// Close releases sockets and goroutines. Sends after Close fail.
 	Close() error
 }

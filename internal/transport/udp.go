@@ -5,7 +5,9 @@ import (
 	"maps"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vitis/internal/bootstrap"
@@ -29,9 +31,14 @@ import (
 //	.       1     nHints, then nHints × (id u64, ipLen u8, ip, port u16)
 //	.       2     nFrames, then nFrames × (len u16, wire frame)
 //
-// The per-peer send queue coalesces frames and flushes them as one datagram
-// when the batch reaches BatchBytes or FlushInterval elapses, whichever
-// comes first.
+// Send appends frames to the destination's batch buffer and puts that queue
+// on the socket's dirty list; Flush writes every dirty queue's batch, one
+// datagram per peer (split at BatchBytes only when a batch outgrew one). The
+// protocol loop calls Flush at the end of every turn (Driver.Run), so what a
+// turn produced for one peer travels together and nothing waits for a timer.
+// Frames of senders nobody drives are written by the socket's one deadline
+// goroutine, which calls the same Flush at most FlushInterval after the dirty
+// list became non-empty.
 //
 // Receivers learn "these ids live at the datagram's source address" from
 // the src list, and third-party addresses from the hints, so any node
@@ -76,15 +83,18 @@ type UDPConfig struct {
 	PendingCap int
 	// MaxHints bounds address hints per datagram (default 8, max 16).
 	MaxHints int
-	// BatchBytes is the target datagram payload: a peer's batch flushes as
-	// soon as it holds this many frame bytes (default 1400, the common
-	// ethernet-safe size; capped at 60000 so the envelope always fits).
+	// BatchBytes is the target datagram payload: a batch that outgrew it
+	// is split into datagrams of at most this many frame bytes (default
+	// 1400, the common ethernet-safe size; capped at 60000 so the envelope
+	// always fits).
 	BatchBytes int
-	// FlushInterval bounds how long a queued frame waits for company
-	// before the batch is flushed anyway (default 2ms).
+	// FlushInterval is the longest a frame waits when nobody calls Flush:
+	// the deadline goroutine writes the dirty queues this long after the
+	// first of them got a frame (default 2ms). A driven Host flushes at the
+	// end of every turn and never gets there.
 	FlushInterval time.Duration
-	// IdleTimeout tears down a peer's flusher goroutine and batch buffer
-	// after this long without traffic (default 1 minute).
+	// IdleTimeout frees a peer's batch buffer and hint ledger after this
+	// long without traffic (default 1 minute); the next Send revives it.
 	IdleTimeout time.Duration
 	// PendingTimeout ages out stashed frames whose peer address never
 	// resolved (default 10s); aged frames count as TxDropped.
@@ -137,7 +147,7 @@ func (c *UDPConfig) fill() {
 // bookEntry is one address-book record: where a node id lives and when
 // traffic last confirmed it, for PeerTTL eviction.
 type bookEntry struct {
-	addr *net.UDPAddr
+	addr netip.AddrPort
 	seen time.Time
 }
 
@@ -151,9 +161,9 @@ type pendingFrame struct {
 }
 
 // UDP is a real socket transport: one datagram socket, per-peer batch
-// buffers drained by per-peer flusher goroutines (created on demand, torn
-// down when idle), and an epidemic address book (see the envelope
-// comment). Safe for concurrent use.
+// buffers written by whoever calls Flush (the driver at the end of a turn,
+// else the deadline goroutine), and an epidemic address book (see the
+// envelope comment). Safe for concurrent use.
 type UDP struct {
 	conn *net.UDPConn
 	cfg  UDPConfig
@@ -168,6 +178,22 @@ type UDP struct {
 	pending map[simnet.NodeID][]pendingFrame
 	closed  bool
 
+	// dirtyMu guards the dirty list and orders the deadline timer with it:
+	// the timer is armed exactly while the list is non-empty. It is a leaf
+	// lock, taken under q.mu by the append that makes a queue dirty.
+	dirtyMu  sync.Mutex
+	dirty    []*peerQueue // queues holding unwritten frames, oldest first
+	deadline *time.Timer
+
+	// flushMu makes Flush the socket's one writer and guards its scratch.
+	flushMu sync.Mutex
+	taken   []*peerQueue // the dirty list being written
+	spare   []byte       // swapped into the queue whose batch is taken
+	out     []byte       // datagram build buffer
+	// deadlineDatagrams counts what the deadline goroutine had to write; a
+	// driven node keeps it at zero.
+	deadlineDatagrams atomic.Uint64
+
 	start time.Time // origin of the hint ledgers' clock
 	done  chan struct{}
 	wg    sync.WaitGroup
@@ -178,31 +204,28 @@ type UDP struct {
 }
 
 // peerQueue is one peer's batch state. Senders append length-prefixed
-// frames to buf under mu and kick the flusher; the flusher swaps buf with
-// its spare (so senders never wait on the socket), wraps the frames in
-// envelopes and writes them. Lock order is u.mu before q.mu — the flusher
-// therefore never touches u.mu while holding q.mu.
+// frames to buf under mu; Flush swaps buf with the writer's spare (so
+// senders never wait on the socket), wraps the frames in envelopes and
+// writes them. Lock order is u.mu before q.mu — the writer therefore never
+// touches u.mu while holding q.mu.
 type peerQueue struct {
-	kick chan struct{} // cap 1; wakes the flusher after an append
-
 	mu         sync.Mutex
-	addr       *net.UDPAddr
-	buf        []byte // length-prefixed frames awaiting flush
-	frames     int    // frame count in buf
+	addr       netip.AddrPort
+	buf        []byte    // length-prefixed frames awaiting Flush
+	frames     int       // frame count in buf; the queue is dirty while > 0
+	since      time.Time // when buf's first frame was queued
 	mentioned  []simnet.NodeID
 	lastActive time.Time
 	dead       bool // set at teardown; senders seeing it re-create the queue
 
-	// Flusher-owned scratch, swapped with buf/mentioned at flush time so
-	// steady-state batching allocates nothing.
-	spare []byte
+	// Writer-owned (under u.flushMu); mentioned is swapped with it at flush
+	// time so steady-state batching allocates nothing.
 	hints hintLedger
-	out   []byte // datagram build buffer
 }
 
-// hintLedger is what a peer's flusher knows about the hints it owes that
-// peer: the ids the batch in hand mentions and a fixed table of the ids
-// hinted lately. It dies with the queue; a peer back from idle starts afresh.
+// hintLedger is what the writer knows about the hints it owes a peer: the
+// ids the batch in hand mentions and a fixed table of the ids hinted lately.
+// It dies with the queue; a peer back from idle starts afresh.
 type hintLedger struct {
 	peer      simnet.NodeID   // never hinted: it knows where it lives
 	mentioned []simnet.NodeID // ids mentioned by the batch being written
@@ -259,9 +282,12 @@ func ListenUDP(addr string, cfg UDPConfig) (*UDP, error) {
 		start:   time.Now(),
 		done:    make(chan struct{}),
 	}
-	u.wg.Add(2)
+	u.deadline = time.NewTimer(cfg.FlushInterval)
+	u.deadline.Stop() // armed by the first frame queued
+	u.wg.Add(3)
 	go u.readLoop()
 	go u.reapLoop()
+	go u.deadlineLoop()
 	return u, nil
 }
 
@@ -303,7 +329,7 @@ func (u *UDP) SetPeer(id simnet.NodeID, addr string) error {
 		return err
 	}
 	u.mu.Lock()
-	u.learnLocked(id, ua)
+	u.learnLocked(id, unmapped(ua.AddrPort()))
 	u.mu.Unlock()
 	return nil
 }
@@ -314,7 +340,10 @@ func (u *UDP) PeerAddr(id simnet.NodeID) (*net.UDPAddr, bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	e, ok := u.book[id]
-	return e.addr, ok
+	if !ok {
+		return nil, false
+	}
+	return net.UDPAddrFromAddrPort(e.addr), true
 }
 
 // Send implements Transport. Frames to peers with a known address are
@@ -340,18 +369,14 @@ func (u *UDP) Send(from, to simnet.NodeID, msg simnet.Message) error {
 
 		q.mu.Lock()
 		if q.dead {
-			// The idle reaper won the race between our map lookup and the
+			// The reaper won the race between our map lookup and the
 			// append; the queue is gone from the map, so start over.
 			q.mu.Unlock()
 			continue
 		}
 		err := u.appendFrameLocked(q, from, to, msg, maxFrame)
 		q.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		q.kickNow()
-		return nil
+		return err
 	}
 }
 
@@ -376,34 +401,21 @@ func (u *UDP) stashLocked(from, to simnet.NodeID, msg simnet.Message) error {
 	return nil
 }
 
-// queueLocked returns the peer's batch queue, creating it (and its flusher
-// goroutine) on first use. Caller holds u.mu and the peer must be in the
-// book; a queue present in the map is never dead while u.mu is held,
-// because teardown removes it from the map under the same lock.
+// queueLocked returns the peer's batch queue, creating it on first use.
+// Caller holds u.mu and the peer must be in the book; a queue present in
+// the map is never dead while u.mu is held, because teardown removes it
+// from the map under the same lock.
 func (u *UDP) queueLocked(to simnet.NodeID) *peerQueue {
 	q := u.queues[to]
 	if q == nil {
-		e := u.book[to]
 		q = &peerQueue{
-			kick:       make(chan struct{}, 1),
-			addr:       e.addr,
+			addr:       u.book[to].addr,
 			lastActive: time.Now(),
 			hints:      hintLedger{peer: to},
 		}
 		u.queues[to] = q
-		u.wg.Add(1)
-		go u.flushLoop(to, q)
 	}
 	return q
-}
-
-// kickNow wakes the peer's flusher without blocking; a pending kick
-// already covers us.
-func (q *peerQueue) kickNow() {
-	select {
-	case q.kick <- struct{}{}:
-	default:
-	}
 }
 
 // envOverheadLocked is the worst-case envelope size around a batch: header,
@@ -439,13 +451,10 @@ func (u *UDP) appendFrameLocked(q *peerQueue, from, to simnet.NodeID, msg simnet
 	}
 	q.buf[off] = byte(flen >> 8)
 	q.buf[off+1] = byte(flen)
-	q.frames++
-	q.lastActive = time.Now()
 	if len(q.mentioned) < maxMentioned {
 		q.mentioned = appendMentionedIDs(q.mentioned, msg)
 	}
-	u.tel.TxFrames.Inc()
-	u.tel.QueueDepth.Add(1)
+	u.frameQueuedLocked(q)
 	return nil
 }
 
@@ -458,16 +467,34 @@ func (u *UDP) appendRawLocked(q *peerQueue, frame []byte, mentioned []simnet.Nod
 	}
 	q.buf = append(q.buf, byte(len(frame)>>8), byte(len(frame)))
 	q.buf = append(q.buf, frame...)
-	q.frames++
-	q.lastActive = time.Now()
 	if len(q.mentioned) < maxMentioned {
 		q.mentioned = append(q.mentioned, mentioned...)
 	}
+	u.frameQueuedLocked(q)
+}
+
+// frameQueuedLocked books the frame just appended to q.buf. A batch's first
+// frame puts the queue on the dirty list, and the list's first queue arms
+// the deadline. Caller holds q.mu.
+func (u *UDP) frameQueuedLocked(q *peerQueue) {
+	q.lastActive = time.Now()
+	if q.frames == 0 {
+		q.since = q.lastActive
+		u.dirtyMu.Lock()
+		u.dirty = append(u.dirty, q)
+		if len(u.dirty) == 1 {
+			u.deadline.Reset(u.cfg.FlushInterval)
+		}
+		u.dirtyMu.Unlock()
+	}
+	q.frames++
 	u.tel.TxFrames.Inc()
 	u.tel.QueueDepth.Add(1)
 }
 
-// Close implements Transport.
+// Close implements Transport. A final Flush writes every frame whose Send
+// returned before Close; what a Send racing Close still queues once the
+// socket is gone counts as TxDropped.
 func (u *UDP) Close() error {
 	u.mu.Lock()
 	if u.closed {
@@ -477,8 +504,21 @@ func (u *UDP) Close() error {
 	u.closed = true
 	close(u.done)
 	u.mu.Unlock()
+	u.Flush()
 	err := u.conn.Close()
 	u.wg.Wait()
+
+	u.mu.Lock()
+	for id, q := range u.queues {
+		q.mu.Lock()
+		q.dead = true
+		u.tel.TxDropped.Add(uint64(q.frames))
+		u.tel.QueueDepth.Add(-int64(q.frames))
+		q.buf, q.frames = nil, 0
+		q.mu.Unlock()
+		delete(u.queues, id)
+	}
+	u.mu.Unlock()
 	return err
 }
 
@@ -494,13 +534,13 @@ func (u *UDP) Hello(addr *net.UDPAddr) error {
 	if closed {
 		return ErrClosed
 	}
-	return u.writeDatagram(dgram, addr)
+	return u.writeDatagram(dgram, unmapped(addr.AddrPort()))
 }
 
 // writeDatagram puts one envelope on the wire and keeps the datagram and
 // byte counters honest.
-func (u *UDP) writeDatagram(dgram []byte, addr *net.UDPAddr) error {
-	if _, err := u.conn.WriteToUDP(dgram, addr); err != nil {
+func (u *UDP) writeDatagram(dgram []byte, addr netip.AddrPort) error {
+	if _, err := u.conn.WriteToUDPAddrPort(dgram, addr); err != nil {
 		u.tel.TxErrors.Inc()
 		return err
 	}
@@ -527,6 +567,7 @@ func (u *UDP) Resolve(addr string, timeout time.Duration) (simnet.NodeID, error)
 	if err != nil {
 		return 0, &ResolveError{Addr: addr, Err: err}
 	}
+	want := unmapped(ua.AddrPort())
 	bo := Backoff{Base: helloBackoff, Max: 2 * time.Second, Jitter: 0.5}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	deadline := time.Now().Add(timeout)
@@ -535,7 +576,7 @@ func (u *UDP) Resolve(addr string, timeout time.Duration) (simnet.NodeID, error)
 		u.mu.Lock()
 		best, found := simnet.NodeID(0), false
 		for id, e := range u.book {
-			if e.addr.IP.Equal(ua.IP) && e.addr.Port == ua.Port && (!found || id < best) {
+			if e.addr == want && (!found || id < best) {
 				best, found = id, true
 			}
 		}
@@ -584,14 +625,17 @@ type UDPCounters struct {
 	RxErrors     uint64
 	RxUnroutable uint64
 	KnownPeers   int
-	Goroutines   int // live per-peer flusher goroutines
+	Queues       int // live per-peer batch buffers
+	Goroutines   int // sender goroutines the transport owns: the deadline goroutine while open
 }
 
 // Counters returns a snapshot of the transport's counters.
 func (u *UDP) Counters() UDPCounters {
 	u.mu.Lock()
-	peers := len(u.book)
-	flushers := len(u.queues)
+	peers, queues, senders := len(u.book), len(u.queues), 1
+	if u.closed {
+		senders = 0
+	}
 	u.mu.Unlock()
 	return UDPCounters{
 		TxFrames:     u.tel.TxFrames.Value(),
@@ -606,92 +650,64 @@ func (u *UDP) Counters() UDPCounters {
 		RxErrors:     u.tel.RxErrors.Value(),
 		RxUnroutable: u.tel.RxUnroutable.Value(),
 		KnownPeers:   peers,
-		Goroutines:   flushers,
+		Queues:       queues,
+		Goroutines:   senders,
 	}
 }
 
-// flushLoop drains one peer's batch buffer onto the socket: flush when the
-// batch reaches BatchBytes, when the oldest queued frame has waited
-// FlushInterval, and tear itself down after IdleTimeout without traffic —
-// peer churn must not accumulate goroutines (a test pins this).
-func (u *UDP) flushLoop(to simnet.NodeID, q *peerQueue) {
+// Flush implements Transport: it writes the batch of every queue on the
+// dirty list, one datagram per peer unless a batch outgrew BatchBytes.
+// Flushes are serialised, so frames to one peer leave in Send order, and when
+// Flush returns every frame whose Send returned before the call has been
+// handed to the socket. With nothing dirty it costs two uncontended locks.
+func (u *UDP) Flush() { u.flush() }
+
+// flush is Flush reporting how many datagrams it wrote.
+func (u *UDP) flush() (datagrams int) {
+	u.flushMu.Lock()
+	defer u.flushMu.Unlock()
+	u.dirtyMu.Lock()
+	u.taken, u.dirty = u.dirty, u.taken[:0]
+	if len(u.taken) > 0 {
+		u.deadline.Stop()
+	}
+	u.dirtyMu.Unlock()
+	for i, q := range u.taken {
+		u.taken[i] = nil
+		// Swap buffers, so the socket write happens outside q.mu and
+		// steady state reuses them.
+		q.mu.Lock()
+		data, n, since, addr := q.buf, q.frames, q.since, q.addr
+		q.buf, q.frames = u.spare[:0], 0
+		q.mentioned, q.hints.mentioned = q.hints.mentioned[:0], q.mentioned
+		q.mu.Unlock()
+		datagrams += u.writeBatch(q, data, n, since, addr)
+		u.spare = data
+	}
+	return datagrams
+}
+
+// deadlineLoop writes what nobody flushed: senders without a driver (the
+// chaos wrapper's delayed sends, Resolve, tests) and a driver stuck in a
+// turn longer than FlushInterval.
+func (u *UDP) deadlineLoop() {
 	defer u.wg.Done()
-	timer := time.NewTimer(u.cfg.IdleTimeout)
-	defer timer.Stop()
-	var flushAt time.Time // deadline of the oldest buffered frame; zero when empty
 	for {
 		select {
 		case <-u.done:
 			return
-		case <-q.kick:
-		case <-timer.C:
+		case <-u.deadline.C:
+			u.deadlineDatagrams.Add(uint64(u.flush()))
 		}
-		now := time.Now()
-
-		q.mu.Lock()
-		if len(q.buf) > 0 && flushAt.IsZero() {
-			flushAt = now.Add(u.cfg.FlushInterval)
-		}
-		if len(q.buf) >= u.cfg.BatchBytes || (!flushAt.IsZero() && !now.Before(flushAt)) {
-			data, nFrames, addr := q.takeLocked()
-			q.mu.Unlock()
-			u.writeBatch(q, data, nFrames, addr)
-			flushAt = time.Time{}
-			now = time.Now()
-			q.mu.Lock()
-			if len(q.buf) > 0 { // frames raced in during the flush
-				flushAt = now.Add(u.cfg.FlushInterval)
-			}
-		}
-		idleAt := q.lastActive.Add(u.cfg.IdleTimeout)
-		q.mu.Unlock()
-
-		if flushAt.IsZero() && !now.Before(idleAt) {
-			// Idle: tear down, unless a send raced in. Lock order is
-			// u.mu → q.mu; once dead and out of the map, Send re-creates.
-			u.mu.Lock()
-			q.mu.Lock()
-			if len(q.buf) == 0 {
-				q.dead = true
-				if u.queues[to] == q {
-					delete(u.queues, to)
-				}
-				q.mu.Unlock()
-				u.mu.Unlock()
-				return
-			}
-			flushAt = time.Now().Add(u.cfg.FlushInterval)
-			idleAt = q.lastActive.Add(u.cfg.IdleTimeout)
-			q.mu.Unlock()
-			u.mu.Unlock()
-		}
-
-		next := idleAt
-		if !flushAt.IsZero() && flushAt.Before(next) {
-			next = flushAt
-		}
-		resetTimer(timer, time.Until(next))
 	}
 }
 
-// takeLocked hands the batch to the flusher by swapping buffers, so the
-// socket write happens outside q.mu and steady state reuses both buffers.
-// Caller holds q.mu.
-func (q *peerQueue) takeLocked() (data []byte, nFrames int, addr *net.UDPAddr) {
-	data, q.buf, q.spare = q.buf, q.spare[:0], q.buf
-	q.mentioned, q.hints.mentioned = q.hints.mentioned[:0], q.mentioned
-	nFrames = q.frames
-	q.frames = 0
-	return data, nFrames, q.addr
-}
-
-// writeBatch wraps a batch of length-prefixed frames into one or more
-// envelopes — normally exactly one; more only when senders outran the
-// flusher — and writes them. Runs on the flusher goroutine with no locks
-// held except briefly u.mu per envelope.
-func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, addr *net.UDPAddr) {
-	off := 0
-	for off < len(data) {
+// writeBatch wraps a batch of nFrames length-prefixed frames, the first
+// queued at since, into one or more envelopes — normally exactly one; more
+// only when the batch outgrew BatchBytes — and writes them. Caller holds
+// u.flushMu; u.mu is taken briefly per envelope.
+func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, since time.Time, addr netip.AddrPort) (datagrams int) {
+	for off := 0; off < len(data); datagrams++ {
 		start, n := off, 0
 		for off < len(data) {
 			flen := int(data[off])<<8 | int(data[off+1])
@@ -703,23 +719,21 @@ func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, addr *net.UDPAd
 			n++
 		}
 		u.mu.Lock()
-		q.out = u.appendEnvelopeLocked(q.out[:0], flagFrame, data[start:off], n, &q.hints)
+		u.out = u.appendEnvelopeLocked(u.out[:0], flagFrame, data[start:off], n, &q.hints)
 		u.mu.Unlock()
-		u.writeDatagram(q.out, addr) //nolint:errcheck // accounted inside
-		u.tel.QueueDepth.Add(-int64(n))
-		nFrames -= n
+		u.writeDatagram(u.out, addr) //nolint:errcheck // accounted inside
+		u.tel.FlushWait.Observe(time.Since(since).Seconds())
 	}
-	if nFrames > 0 { // defensive: never leak gauge weight
-		u.tel.QueueDepth.Add(-int64(nFrames))
-	}
+	u.tel.QueueDepth.Add(-int64(nFrames))
+	return datagrams
 }
 
 // learnLocked records id → addr, refreshes the entry's liveness, retargets
 // the peer's queue, and flushes any frames stashed while the address was
 // unknown. Caller holds u.mu.
-func (u *UDP) learnLocked(id simnet.NodeID, addr *net.UDPAddr) {
+func (u *UDP) learnLocked(id simnet.NodeID, addr netip.AddrPort) {
 	now := time.Now()
-	if e, ok := u.book[id]; ok && udpAddrEqual(e.addr, addr) {
+	if e, ok := u.book[id]; ok && e.addr == addr {
 		e.seen = now
 		u.book[id] = e
 	} else {
@@ -741,7 +755,6 @@ func (u *UDP) learnLocked(id simnet.NodeID, addr *net.UDPAddr) {
 		}
 		q.mu.Unlock()
 		u.tel.TxPending.Add(-int64(len(stash)))
-		q.kickNow()
 	}
 }
 
@@ -753,7 +766,7 @@ func (u *UDP) learnLocked(id simnet.NodeID, addr *net.UDPAddr) {
 // book entries only on hellos, acks (no queue: h is nil) and a queue's first
 // datagram, where Go's random map order spreads the book to a newcomer.
 // Allocation-free when dst has capacity — hint dedup uses a fixed array, not
-// a map. Caller holds u.mu and, if h is not nil, is h's flusher.
+// a map. Caller holds u.mu and, if h is not nil, u.flushMu.
 func (u *UDP) appendEnvelopeLocked(dst []byte, flags byte, frames []byte, nFrames int, h *hintLedger) []byte {
 	if nFrames > 0 {
 		flags |= flagFrame
@@ -828,9 +841,11 @@ func (u *UDP) appendHintLocked(dst []byte, id simnet.NodeID, added *[maxHintCap]
 	if !ok {
 		return dst, nh, budget
 	}
-	ip := e.addr.IP
-	if v4 := ip.To4(); v4 != nil {
-		ip = v4
+	a := e.addr.Addr()
+	a16 := a.As16()
+	ip := a16[:]
+	if a.Is4() {
+		ip = ip[12:]
 	}
 	sz := 8 + 1 + len(ip) + 2
 	if sz > budget {
@@ -840,26 +855,17 @@ func (u *UDP) appendHintLocked(dst []byte, id simnet.NodeID, added *[maxHintCap]
 	dst = appendU64(dst, uint64(id))
 	dst = append(dst, byte(len(ip)))
 	dst = append(dst, ip...)
-	dst = append(dst, byte(e.addr.Port>>8), byte(e.addr.Port))
+	dst = append(dst, byte(e.addr.Port()>>8), byte(e.addr.Port()))
 	return dst, nh + 1, budget - sz
 }
 
-// reapLoop ages out pending stashes whose peer never resolved and evicts
-// address-book entries not refreshed within PeerTTL, so churned peers do
-// not pin memory forever. (Their flusher goroutines tear themselves down
-// via flushLoop's IdleTimeout.)
+// reapLoop ages out pending stashes whose peer never resolved, evicts
+// address-book entries not refreshed within PeerTTL and frees the queues of
+// peers idle for IdleTimeout, so churned peers do not pin memory forever.
 func (u *UDP) reapLoop() {
 	defer u.wg.Done()
-	interval := u.cfg.PendingTimeout / 4
-	if interval > u.cfg.PeerTTL/4 {
-		interval = u.cfg.PeerTTL / 4
-	}
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	if interval > 5*time.Second {
-		interval = 5 * time.Second
-	}
+	interval := min(u.cfg.PendingTimeout, u.cfg.PeerTTL, u.cfg.IdleTimeout) / 4
+	interval = max(10*time.Millisecond, min(interval, 5*time.Second))
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -872,10 +878,20 @@ func (u *UDP) reapLoop() {
 	}
 }
 
-// reapOnce applies PendingTimeout and PeerTTL as of now.
+// reapOnce applies PendingTimeout, PeerTTL and IdleTimeout as of now.
 func (u *UDP) reapOnce(now time.Time) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	for id, q := range u.queues {
+		// A sender that looked q up before this sees dead and starts over
+		// (see Send), so its frame is neither lost nor written twice.
+		q.mu.Lock()
+		if q.frames == 0 && now.Sub(q.lastActive) > u.cfg.IdleTimeout {
+			q.dead = true
+			delete(u.queues, id)
+		}
+		q.mu.Unlock()
+	}
 	for id, stash := range u.pending {
 		// Stashes are append-ordered, so expired entries form a prefix.
 		cut := 0
@@ -910,7 +926,7 @@ func (u *UDP) readLoop() {
 	defer u.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, src, err := u.conn.ReadFromUDP(buf)
+		n, src, err := u.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-u.done:
@@ -924,7 +940,7 @@ func (u *UDP) readLoop() {
 			continue
 		}
 		u.tel.RxBytes.Add(uint64(n))
-		u.handleDatagram(buf[:n], src)
+		u.handleDatagram(buf[:n], unmapped(src))
 	}
 }
 
@@ -981,9 +997,8 @@ func parseEnvelope(b []byte) (envelope, error) {
 
 // handleDatagram applies one envelope: learn addresses, answer acks,
 // deliver the frames. Steady-state datagrams from known peers are handled
-// without allocating — address copies happen only when the book actually
-// changes.
-func (u *UDP) handleDatagram(b []byte, src *net.UDPAddr) {
+// without allocating: addresses are values, read off the socket as such.
+func (u *UDP) handleDatagram(b []byte, src netip.AddrPort) {
 	env, err := parseEnvelope(b)
 	if err != nil {
 		u.tel.RxErrors.Inc()
@@ -991,18 +1006,14 @@ func (u *UDP) handleDatagram(b []byte, src *net.UDPAddr) {
 	}
 	now := time.Now()
 	u.mu.Lock()
-	var srcCopy *net.UDPAddr
 	for ids := env.src; len(ids) > 0; ids = ids[8:] {
 		id := simnet.NodeID(takeU64(ids))
-		if e, ok := u.book[id]; ok && udpAddrEqual(e.addr, src) {
-			e.seen = now // refresh in place: no copy, no churn
+		if e, ok := u.book[id]; ok && e.addr == src {
+			e.seen = now // refresh in place: no gauge, no stash lookup
 			u.book[id] = e
 			continue
 		}
-		if srcCopy == nil {
-			srcCopy = copyUDPAddr(src)
-		}
-		u.learnLocked(id, srcCopy)
+		u.learnLocked(id, src)
 	}
 	// Hints are second-hand, so a datagram may teach only as many as an
 	// honest sender can write, and never overrides what the source address
@@ -1011,9 +1022,9 @@ func (u *UDP) handleDatagram(b []byte, src *net.UDPAddr) {
 	for i := 0; i < env.nHints && i < maxHintCap; i++ {
 		id, ipLen := simnet.NodeID(takeU64(hints)), int(hints[8])
 		if _, ok := u.book[id]; !ok {
-			ip := append(net.IP(nil), hints[9:9+ipLen]...)
-			port := int(hints[9+ipLen])<<8 | int(hints[9+ipLen+1])
-			u.learnLocked(id, &net.UDPAddr{IP: ip, Port: port})
+			ip, _ := netip.AddrFromSlice(hints[9 : 9+ipLen]) // 4 or 16 bytes, per parseEnvelope
+			port := uint16(hints[9+ipLen])<<8 | uint16(hints[9+ipLen+1])
+			u.learnLocked(id, netip.AddrPortFrom(ip.Unmap(), port))
 		}
 		hints = hints[9+ipLen+2:]
 	}
@@ -1096,29 +1107,10 @@ func appendTManIDs(dst []simnet.NodeID, buf []tman.Descriptor) []simnet.NodeID {
 	return dst
 }
 
-// udpAddrEqual reports address equality without normalising allocations.
-func udpAddrEqual(a, b *net.UDPAddr) bool {
-	return a != nil && b != nil && a.Port == b.Port && a.IP.Equal(b.IP) && a.Zone == b.Zone
-}
-
-// copyUDPAddr deep-copies a socket address so book entries never alias the
-// read loop's reusable buffer.
-func copyUDPAddr(a *net.UDPAddr) *net.UDPAddr {
-	return &net.UDPAddr{IP: append(net.IP(nil), a.IP...), Port: a.Port, Zone: a.Zone}
-}
-
-// resetTimer re-arms a timer whose channel may or may not have fired.
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	t.Reset(d)
+// unmapped strips the IPv4-in-IPv6 form, so a peer has one book value on
+// IPv4 and dual-stack sockets alike.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 func appendU64(b []byte, v uint64) []byte {

@@ -69,9 +69,8 @@ func TestUDPSendZeroAlloc(t *testing.T) {
 	server := listenTestUDP(t)
 	client, err := ListenUDP("127.0.0.1:0", UDPConfig{
 		// Keep every frame buffered so the measurement sees only the
-		// append path: batches far larger than the test writes, and flush
-		// and idle timers that never fire during the run.
-		BatchBytes:    60000,
+		// append path: a deadline and an idle timeout that never come
+		// during the run.
 		QueueBytes:    1 << 20,
 		FlushInterval: time.Hour,
 		IdleTimeout:   time.Hour,
@@ -96,12 +95,15 @@ func TestUDPSendZeroAlloc(t *testing.T) {
 	if q == nil {
 		t.Fatal("no batch queue after Send")
 	}
-	reset := func() {
+	reset := func() { // what Flush does to the queue, minus the write
 		q.mu.Lock()
 		q.buf = q.buf[:0]
 		q.frames = 0
 		q.mentioned = q.mentioned[:0]
 		q.mu.Unlock()
+		client.dirtyMu.Lock()
+		client.dirty = client.dirty[:0]
+		client.dirtyMu.Unlock()
 	}
 
 	const batch = 32
@@ -193,8 +195,8 @@ func TestUDPPendingTimeoutAgesOut(t *testing.T) {
 }
 
 // TestUDPPeerChurnReapsEverything checks the lifecycle bugfix: after peer
-// churn the flusher goroutines tear down (IdleTimeout) and the address
-// book drains (PeerTTL), so a long-lived node's footprint stays flat.
+// churn the reaper frees the idle queues (IdleTimeout) and drains the
+// address book (PeerTTL), so a long-lived node's footprint stays flat.
 func TestUDPPeerChurnReapsEverything(t *testing.T) {
 	sink := listenTestUDP(t) // absorbs the churn traffic
 	client, err := ListenUDP("127.0.0.1:0", UDPConfig{
@@ -217,18 +219,18 @@ func TestUDPPeerChurnReapsEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := client.Counters(); c.KnownPeers != peers || c.Goroutines == 0 {
-		t.Fatalf("churn setup: %+v, want %d known peers and live flushers", c, peers)
+	if c := client.Counters(); c.KnownPeers != peers || c.Queues != peers {
+		t.Fatalf("churn setup: %+v, want %d known peers and queues", c, peers)
 	}
 
 	waitFor(t, 10*time.Second, func() bool {
 		c := client.Counters()
-		return c.Goroutines == 0 && c.KnownPeers == 0 && runtime.NumGoroutine() <= baseline
-	}, "flushers and book entries to be reaped")
+		return c.Queues == 0 && c.KnownPeers == 0 && runtime.NumGoroutine() <= baseline
+	}, "queues and book entries to be reaped")
 }
 
-// TestUDPSendAfterIdleTeardown checks a peer whose flusher was torn down
-// is transparently revived by the next send.
+// TestUDPSendAfterIdleTeardown checks a peer whose queue was torn down is
+// transparently revived by the next send.
 func TestUDPSendAfterIdleTeardown(t *testing.T) {
 	server := listenTestUDP(t)
 	server.Attach(42)
@@ -248,7 +250,7 @@ func TestUDPSendAfterIdleTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return rx.Load() == 1 }, "first frame")
-	waitFor(t, 5*time.Second, func() bool { return client.Counters().Goroutines == 0 }, "idle teardown")
+	waitFor(t, 5*time.Second, func() bool { return client.Counters().Queues == 0 }, "idle teardown")
 
 	if err := client.Send(7, 42, core.PullReq{}); err != nil {
 		t.Fatal(err)
@@ -273,7 +275,7 @@ func TestUDPResolveLowestID(t *testing.T) {
 }
 
 // BenchmarkEnvelopeAppend measures building one v2 envelope around a warm
-// batch — the per-datagram cost of the flusher's hot path.
+// batch — the per-datagram cost of the writer's hot path.
 func BenchmarkEnvelopeAppend(b *testing.B) {
 	u, err := ListenUDP("127.0.0.1:0", UDPConfig{})
 	if err != nil {
@@ -314,6 +316,7 @@ func (nullTransport) SetReceiver(RecvFunc)                            {}
 func (nullTransport) Attach(simnet.NodeID)                            {}
 func (nullTransport) Detach(simnet.NodeID)                            {}
 func (nullTransport) Send(_, _ simnet.NodeID, _ simnet.Message) error { return nil }
+func (nullTransport) Flush()                                          {}
 func (nullTransport) Close() error                                    { return nil }
 
 // TestHostInboxDepthDrainsToZero checks the InboxDepth gauge accounting
