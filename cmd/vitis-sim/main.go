@@ -158,10 +158,10 @@ func main() {
 		fmt.Printf("nodes             %d\n", sub.Nodes)
 		fmt.Printf("topics            %d\n", sub.Topics)
 		fmt.Printf("avg subs/node     %.1f\n", sub.AvgSubsPerNode())
-		fmt.Printf("events            %d\n", res.Collector.Events())
+		fmt.Printf("events            %d\n", res.Oracle.Events())
 		fmt.Printf("hit ratio         %.2f%%\n", 100*res.HitRatio)
 		fmt.Printf("traffic overhead  %.2f%%\n", 100*res.Overhead)
-		fmt.Printf("avg delay         %.2f hops (max %d)\n", res.AvgDelay, res.Collector.MaxDelay())
+		fmt.Printf("avg delay         %.2f hops (max %d)\n", res.AvgDelay, res.Oracle.MaxDelay())
 		sum := stats.Summarize(res.PerNodeOverheadPct)
 		fmt.Printf("per-node overhead p50=%.1f%% p90=%.1f%% max=%.1f%%\n",
 			stats.Percentile(res.PerNodeOverheadPct, 50),

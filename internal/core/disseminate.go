@@ -130,8 +130,9 @@ func (n *Node) handleNotification(from NodeID, m Notification) {
 
 // observeLatency records one publish→deliver latency into h: the gap in
 // seconds between the publisher's clock at publish time and this node's
-// clock now. Cross-process clock skew can make the gap negative; those
-// clamp to zero rather than poisoning the histogram. Nil h (telemetry
+// clock now. A publish time from the future is cross-process clock skew,
+// not a latency: it is counted in ClockSkew and left out of the histogram,
+// where a 0 s sample would drag the percentiles down. Nil h (telemetry
 // disabled) returns before touching the clock.
 func (n *Node) observeLatency(h *telemetry.Histogram, pubTime int64) {
 	if h == nil {
@@ -139,7 +140,8 @@ func (n *Node) observeLatency(h *telemetry.Histogram, pubTime int64) {
 	}
 	d := n.now() - pubTime
 	if d < 0 {
-		d = 0
+		n.tel.ClockSkew.Inc()
+		return
 	}
 	h.Observe(float64(d) / 1000)
 }

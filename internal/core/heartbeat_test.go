@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"vitis/internal/simnet"
+	"vitis/internal/tman"
 )
 
 func TestFailureDetectionRemovesDeadNeighbor(t *testing.T) {
@@ -65,7 +67,7 @@ func TestProfileMsgUpdatesKnowledge(t *testing.T) {
 	n := NewNode(net, 100, Params{}, Hooks{})
 	n.Join(nil)
 	tp := Topic("k")
-	prof := &Profile{ID: 300, Subs: []TopicID{tp}, Proposals: map[TopicID]Proposal{}}
+	prof := &Profile{ID: 300, Subs: []TopicID{tp}}
 	n.handleProfile(300, ProfileMsg{Profile: prof})
 	got, ok := n.KnownProfile(300)
 	if !ok || !got.Subscribed(tp) {
@@ -127,12 +129,12 @@ func TestBuildProfileSnapshotsProposals(t *testing.T) {
 	if !p.Subscribed(tp) {
 		t.Error("profile missing subscription")
 	}
-	if p.Proposals[tp].GW != 100 {
+	if prop, ok := p.Proposal(tp); !ok || prop.GW != 100 {
 		t.Error("profile missing proposal")
 	}
 	// Mutating node state afterwards must not affect the snapshot.
 	n.proposals[tp] = Proposal{GW: 999, Parent: 999, Hops: 1}
-	if p.Proposals[tp].GW != 100 {
+	if prop, _ := p.Proposal(tp); prop.GW != 100 {
 		t.Error("profile proposals aliased to node state")
 	}
 }
@@ -179,8 +181,8 @@ func TestProposalLoopAvoidance(t *testing.T) {
 	n.handleProfile(200, ProfileMsg{Profile: &Profile{
 		ID:   200,
 		Subs: []TopicID{tp},
-		Proposals: map[TopicID]Proposal{
-			tp: {GW: TopicID(uint64(tp) + 1), Parent: 100, Hops: 1},
+		Proposals: []TopicProposal{
+			{Topic: tp, Proposal: Proposal{GW: TopicID(uint64(tp) + 1), Parent: 100, Hops: 1}},
 		},
 	}})
 	n.updateProposals()
@@ -201,8 +203,8 @@ func TestProposalAdoptsCloserGateway(t *testing.T) {
 	n.handleProfile(200, ProfileMsg{Profile: &Profile{
 		ID:   200,
 		Subs: []TopicID{tp},
-		Proposals: map[TopicID]Proposal{
-			tp: {GW: gw, Parent: 200, Hops: 0}, // neighbor proposes itself-originated GW
+		Proposals: []TopicProposal{
+			{Topic: tp, Proposal: Proposal{GW: gw, Parent: 200, Hops: 0}}, // neighbor proposes itself-originated GW
 		},
 	}})
 	n.updateProposals()
@@ -226,8 +228,8 @@ func TestProposalRespectsHopThreshold(t *testing.T) {
 	n.handleProfile(200, ProfileMsg{Profile: &Profile{
 		ID:   200,
 		Subs: []TopicID{tp},
-		Proposals: map[TopicID]Proposal{
-			tp: {GW: gw, Parent: 200, Hops: 2},
+		Proposals: []TopicProposal{
+			{Topic: tp, Proposal: Proposal{GW: gw, Parent: 200, Hops: 2}},
 		},
 	}})
 	n.updateProposals()
@@ -236,4 +238,22 @@ func TestProposalRespectsHopThreshold(t *testing.T) {
 		t.Errorf("adopted a proposal beyond the hop threshold: %+v", prop)
 	}
 	_ = eng
+}
+
+// TestBodilessProfileFromNeighbor: the codec accepts a ProfileMsg without a
+// profile body. From a routing-table member it must count as a sign of life
+// and not crash the node, neither in Algorithm 7 nor later in selection,
+// which falls back to stored profiles for descriptors without a payload.
+func TestBodilessProfileFromNeighbor(t *testing.T) {
+	n, profs := profileFixture(t, 4)
+	id := profs[0].ID
+	n.ages[id] = 3
+	n.handleProfile(id, ProfileMsg{})
+	if n.ages[id] != 0 {
+		t.Errorf("age = %d after a bodiless heartbeat, want 0", n.ages[id])
+	}
+	if subs := n.subsOf(tman.Descriptor{ID: id}); !slices.Equal(subs, profs[0].Subs) {
+		t.Errorf("subscriptions %v, want the gossip-learned %v", subs, profs[0].Subs)
+	}
+	n.heartbeat()
 }

@@ -41,10 +41,13 @@ type Node struct {
 	subsSorted []TopicID
 	subsWeight float64
 	subsDirty  bool
-	// profileCache is the round's immutable profile snapshot, shared by
-	// heartbeats and reactive replies; invalidated whenever subs or
-	// proposals change.
-	profileCache *Profile
+	// profileCache is the node's immutable profile snapshot, shared by
+	// heartbeats, reactive replies and the node's own T-Man descriptor;
+	// hbMsg and replyMsg are the snapshot boxed once as the two ProfileMsg
+	// forms. Invalidated only when the subscription set or a proposal
+	// actually changes.
+	profileCache    *Profile
+	hbMsg, replyMsg simnet.Message
 
 	// Reusable scratch buffers for the per-message hot paths. Safe because
 	// a node is single-threaded and transports never deliver re-entrantly
@@ -72,7 +75,7 @@ type Node struct {
 	reverse map[NodeID]simnet.Time
 	// knownSubs caches subscription lists gleaned from T-Man payloads for
 	// nodes without a full profile yet.
-	knownSubs map[NodeID]SubsSummary
+	knownSubs map[NodeID][]TopicID
 	// suspects are nodes whose heartbeats timed out; their descriptors
 	// keep circulating in gossip buffers for a while, so selection must
 	// refuse them until the suspicion expires (or they speak again).
@@ -146,7 +149,7 @@ func NewNode(net simnet.Net, id NodeID, params Params, hooks Hooks) *Node {
 		ages:        make(map[NodeID]int),
 		profiles:    make(map[NodeID]*Profile),
 		reverse:     make(map[NodeID]simnet.Time),
-		knownSubs:   make(map[NodeID]SubsSummary),
+		knownSubs:   make(map[NodeID][]TopicID),
 		suspects:    make(map[NodeID]simnet.Time),
 		lost:        make(map[NodeID]simnet.Time),
 		recent:      make(map[TopicID][]replayRecord),
@@ -258,7 +261,7 @@ func (n *Node) Join(bootstrap []NodeID) {
 	}
 	n.xchg = tman.New(n.net, n.id, n.params.GossipPeriod, tman.Callbacks{
 		SelfDescriptor: func() tman.Descriptor {
-			return tman.Descriptor{ID: n.id, Payload: SubsSummary(n.sortedSubs())}
+			return tman.Descriptor{ID: n.id, Payload: n.buildProfile().Summary()}
 		},
 		SampleNodes: func() []tman.Descriptor {
 			ids := n.sampler.Sample(n.params.SampleSize)
@@ -341,9 +344,9 @@ func (n *Node) heartbeat() {
 	n.updateProposals()
 	n.expireState(now)
 
-	profile := n.buildProfile()
-	// One boxed message serves every heartbeat of the round.
-	hb := simnet.Message(ProfileMsg{Profile: profile})
+	// One boxed message serves every heartbeat of the round (and of every
+	// later round until the profile changes).
+	hb := n.profileMsg(false)
 	// Snapshot the table ids into scratch: eviction below mutates the
 	// exchanger's table while we iterate.
 	rt := n.hbIDs[:0]
@@ -457,32 +460,57 @@ func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 		}
 		n.wasIsolated = false
 	}
-	n.profiles[from] = m.Profile
+	// A profile equal to the stored one keeps the stored pointer: the
+	// routing-table payload and earlier descriptors already point into it,
+	// and the fresh copy dies young.
+	p := m.Profile
+	if old := n.profiles[from]; old.Equal(p) {
+		p = old
+	}
+	n.profiles[from] = p
 	n.reverse[from] = n.eng.Now() + simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
 	if n.xchg.Contains(from) {
 		n.ages[from] = 0
-		n.xchg.UpdatePayload(from, SubsSummary(m.Profile.Subs))
+		if p != nil {
+			n.xchg.UpdatePayload(from, p.Summary())
+		}
 	}
 	if !m.Reply {
-		n.net.Send(n.id, from, ProfileMsg{Profile: n.buildProfile(), Reply: true})
+		n.net.Send(n.id, from, n.profileMsg(true))
 	}
 }
 
-// buildProfile snapshots the node's profile for this round. The result is
-// shared (immutable) across all heartbeats and reactive replies of the
-// round: proposals only change in updateProposals and Unsubscribe, both of
-// which invalidate the cache, so the snapshot stays fresh without copying
-// the proposal map per reply.
+// buildProfile returns the node's profile snapshot, rebuilding it only after
+// the subscription set or a proposal changed (invalidateSubs,
+// updateProposals). The snapshot is immutable and shared by every heartbeat,
+// reply and self descriptor until then.
 func (n *Node) buildProfile() *Profile {
 	if n.profileCache != nil {
 		return n.profileCache
 	}
-	props := make(map[TopicID]Proposal, len(n.proposals))
-	for t, p := range n.proposals {
-		props[t] = p
+	subs := n.sortedSubs()
+	p := &Profile{ID: n.id, Subs: subs}
+	if len(n.proposals) > 0 {
+		p.Proposals = make([]TopicProposal, 0, len(n.proposals))
 	}
-	n.profileCache = &Profile{ID: n.id, Subs: n.sortedSubs(), Proposals: props}
-	return n.profileCache
+	for _, t := range subs {
+		if prop, ok := n.proposals[t]; ok {
+			p.Proposals = append(p.Proposals, TopicProposal{Topic: t, Proposal: prop})
+		}
+	}
+	n.profileCache = p
+	n.hbMsg = ProfileMsg{Profile: p}
+	n.replyMsg = ProfileMsg{Profile: p, Reply: true}
+	return p
+}
+
+// profileMsg returns the current snapshot as a boxed heartbeat or reply.
+func (n *Node) profileMsg(reply bool) simnet.Message {
+	n.buildProfile()
+	if reply {
+		return n.replyMsg
+	}
+	return n.hbMsg
 }
 
 // sortedSubs returns the cached sorted subscription list. Callers must not
@@ -513,7 +541,6 @@ func (n *Node) subsView() ([]TopicID, float64) {
 // the hop threshold d; a node recognising itself as gateway initiates the
 // relay path.
 func (n *Node) updateProposals() {
-	n.profileCache = nil // proposals are about to change
 	n.propNbrs = n.clusterNeighborsInto(n.propNbrs)
 	neighbors := n.propNbrs
 	// Iterate topics in sorted order: relay lookups send messages, and
@@ -525,7 +552,7 @@ func (n *Node) updateProposals() {
 			if p == nil || !p.Subscribed(t) {
 				continue
 			}
-			next, ok := p.Proposals[t]
+			next, ok := p.Proposal(t)
 			if !ok {
 				continue
 			}
@@ -547,14 +574,18 @@ func (n *Node) updateProposals() {
 				prop = Proposal{GW: next.GW, Parent: nb, Hops: next.Hops + 1}
 			}
 		}
-		if old, had := n.proposals[t]; !had || old.GW != prop.GW {
+		old, had := n.proposals[t]
+		if !had || old.GW != prop.GW {
 			n.tel.GatewayChanges.Inc()
 			n.tracer.Emit(telemetry.SpanEvent{
 				Kind: telemetry.KindGateway, Node: uint64(n.id),
 				Peer: uint64(prop.GW), Topic: uint64(t), Hops: prop.Hops,
 			})
 		}
-		n.proposals[t] = prop
+		if !had || old != prop {
+			n.proposals[t] = prop
+			n.profileCache = nil
+		}
 		if prop.GW == n.id {
 			n.requestRelay(t)
 		}
@@ -618,7 +649,7 @@ func (n *Node) expireState(now simnet.Time) {
 }
 
 // recordSubs caches a subscription list learned from gossip payloads.
-func (n *Node) recordSubs(id NodeID, subs SubsSummary) {
+func (n *Node) recordSubs(id NodeID, subs []TopicID) {
 	if id == n.id {
 		return
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vitis/internal/idspace"
@@ -86,7 +87,7 @@ func perfBuffer(size int, topics []TopicID) []tman.Descriptor {
 		sortTopics(subs)
 		buf = append(buf, tman.Descriptor{
 			ID:      idspace.HashUint64(uint64(i) + 1),
-			Payload: subs,
+			Payload: &subs,
 		})
 	}
 	return buf
@@ -182,5 +183,123 @@ func BenchmarkForwardData(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.forwardData(tp, ev, 0, 0, 0, false)
 		eng.RunUntil(eng.Now() + 1)
+	}
+}
+
+// profileFixture is a node subscribed to four topics whose routing table
+// holds nbrs neighbours, each with a stored profile proposing itself as
+// gateway for one of those topics. Sends are dropped at the network, so
+// calling handlers directly exercises only the node.
+func profileFixture(tb testing.TB, nbrs int) (*Node, []*Profile) {
+	tb.Helper()
+	eng := simnet.NewEngine(1)
+	net := simnet.NewNetwork(eng, simnet.ConstantLatency(simnet.Lost))
+	n := NewNode(net, 1<<40, Params{RTSize: 15, SWLinks: 1, NetworkSizeEstimate: 1024}, Hooks{})
+	n.Join(nil)
+	topics := perfTopics(4)
+	for _, tp := range topics {
+		n.Subscribe(tp)
+	}
+	profs := make([]*Profile, nbrs)
+	seed := make([]tman.Descriptor, nbrs)
+	for i := range profs {
+		id := idspace.HashUint64(uint64(i) + 1)
+		tp := topics[i%len(topics)]
+		profs[i] = &Profile{ID: id, Subs: []TopicID{tp},
+			Proposals: []TopicProposal{{Topic: tp, Proposal: Proposal{GW: id, Parent: id}}}}
+		seed[i] = tman.Descriptor{ID: id, Payload: profs[i].Summary()}
+	}
+	n.xchg.Seed(seed)
+	if n.xchg.Len() != nbrs {
+		tb.Fatalf("routing table holds %d of %d neighbours", n.xchg.Len(), nbrs)
+	}
+	for _, p := range profs {
+		n.handleProfile(p.ID, ProfileMsg{Profile: p, Reply: true})
+	}
+	return n, profs
+}
+
+// TestHandleProfileUnchangedAllocFree pins Algorithm 7 for the steady state
+// at zero allocations: an arriving copy equal to the stored profile leaves
+// the stored pointer (and the routing-table payload pointing into it) in
+// place, and the reactive reply is the snapshot's pre-boxed message.
+func TestHandleProfileUnchangedAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	n, profs := profileFixture(t, 15)
+	p := profs[0]
+	copyOf := &Profile{ID: p.ID, Subs: slices.Clone(p.Subs), Proposals: slices.Clone(p.Proposals)}
+	msg := ProfileMsg{Profile: copyOf}
+	n.handleProfile(p.ID, msg)
+	if avg := testing.AllocsPerRun(100, func() { n.handleProfile(p.ID, msg) }); avg != 0 {
+		t.Errorf("handleProfile of an unchanged profile allocates %.2f objects, want 0", avg)
+	}
+	if stored, _ := n.KnownProfile(p.ID); stored != p {
+		t.Error("an equal profile replaced the stored pointer")
+	}
+	for _, d := range n.xchg.RTRef() {
+		if d.ID == p.ID && d.Payload != any(p.Summary()) {
+			t.Errorf("routing-table payload %v does not point into the stored profile", d.Payload)
+		}
+	}
+}
+
+// TestHeartbeatAllocBound pins one warm heartbeat of a 15-neighbour node to
+// a small constant: while nothing changed, the profile snapshot and its
+// boxed heartbeat are reused for every neighbour and every round.
+func TestHeartbeatAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	n, profs := profileFixture(t, 15)
+	run := func() {
+		for _, p := range profs {
+			n.ages[p.ID] = 0 // they answered: keep the table intact
+		}
+		n.heartbeat()
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	snapshot := n.buildProfile()
+	if avg := testing.AllocsPerRun(100, run); avg > 2 {
+		t.Errorf("a warm heartbeat allocates %.2f objects, want at most 2", avg)
+	}
+	if n.buildProfile() != snapshot {
+		t.Error("heartbeat rebuilt an unchanged profile snapshot")
+	}
+}
+
+// TestProfileProposalMatchesMap checks the sorted-slice lookup against a
+// map over random profiles.
+func TestProfileProposalMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		ref := make(map[TopicID]Proposal)
+		p := &Profile{ID: 1}
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			tp := TopicID(rng.Intn(40))
+			if _, dup := ref[tp]; dup {
+				continue
+			}
+			ref[tp] = Proposal{GW: NodeID(rng.Uint64()), Parent: NodeID(rng.Uint64()), Hops: rng.Intn(5)}
+			p.Subs = append(p.Subs, tp)
+		}
+		slices.Sort(p.Subs)
+		for _, tp := range p.Subs {
+			if rng.Intn(3) > 0 {
+				p.Proposals = append(p.Proposals, TopicProposal{Topic: tp, Proposal: ref[tp]})
+			} else {
+				delete(ref, tp)
+			}
+		}
+		for tp := TopicID(0); tp < 42; tp++ {
+			got, ok := p.Proposal(tp)
+			want, wantOK := ref[tp]
+			if ok != wantOK || got != want {
+				t.Fatalf("trial %d: Proposal(%d) = %+v,%v; map says %+v,%v", trial, tp, got, ok, want, wantOK)
+			}
+		}
 	}
 }

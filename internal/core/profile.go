@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"vitis/internal/simnet"
+	"vitis/internal/tman"
 )
 
 // EventID uniquely identifies a published event.
@@ -23,24 +24,59 @@ type Proposal struct {
 	Hops   int
 }
 
+// TopicProposal is one entry of a profile's proposal list.
+type TopicProposal struct {
+	Topic    TopicID
+	Proposal Proposal
+}
+
 // Profile is the periodically exchanged node profile: identity,
 // subscription set and current gateway proposals (§III: "each node has a
 // profile, which includes a unique node id, and the id of topics that the
 // node subscribes to"; proposals piggyback on it per Algorithm 5).
 //
-// Profiles are treated as immutable once built, so a single value can be
-// shared across all heartbeats of one round.
+// Profiles are immutable once built: the sender shares one snapshot across
+// every heartbeat and reply until its state changes, receivers keep it as
+// the sender's last known profile, and T-Man descriptors point into its
+// subscription list (Summary).
 type Profile struct {
-	ID        NodeID
-	Subs      []TopicID // sorted
-	Proposals map[TopicID]Proposal
+	ID   NodeID
+	Subs []TopicID // strictly ascending
+	// Proposals is strictly ascending by topic, and every topic is in Subs:
+	// a node proposes gateways only for its own subscriptions.
+	Proposals []TopicProposal
 }
 
 // Subscribed reports whether the profile's owner subscribes to t.
 func (p *Profile) Subscribed(t TopicID) bool {
-	i := sort.Search(len(p.Subs), func(i int) bool { return p.Subs[i] >= t })
-	return i < len(p.Subs) && p.Subs[i] == t
+	_, ok := slices.BinarySearch(p.Subs, t)
+	return ok
 }
+
+// Proposal returns the owner's gateway proposal for t.
+func (p *Profile) Proposal(t TopicID) (Proposal, bool) {
+	i, ok := slices.BinarySearchFunc(p.Proposals, t, func(e TopicProposal, t TopicID) int {
+		return cmp.Compare(e.Topic, t)
+	})
+	if !ok {
+		return Proposal{}, false
+	}
+	return p.Proposals[i].Proposal, true
+}
+
+// Equal reports whether two profiles carry the same content.
+func (p *Profile) Equal(q *Profile) bool {
+	if p == q {
+		return true
+	}
+	return p != nil && q != nil && p.ID == q.ID &&
+		slices.Equal(p.Subs, q.Subs) && slices.Equal(p.Proposals, q.Proposals)
+}
+
+// Summary is the T-Man descriptor payload for the profile's owner: a pointer
+// into the profile's own subscription list, so storing it in a descriptor
+// costs no allocation.
+func (p *Profile) Summary() *SubsSummary { return (*SubsSummary)(&p.Subs) }
 
 // Wire messages of the Vitis protocol (beyond the sampling and T-Man
 // layers).
@@ -76,12 +112,21 @@ type (
 	}
 )
 
-// SubsSummary is the T-Man descriptor payload: the subscription list used by
-// Algorithm 4's utility ranking. Kept as its own type so payload type
-// assertions are unambiguous. It is exported so the wire codec
-// (internal/wire) can reconstruct descriptor payloads when messages arrive
-// over a real transport.
+// SubsSummary is the subscription list used by Algorithm 4's utility
+// ranking. T-Man descriptors carry it as a *SubsSummary — a pointer fits an
+// interface without boxing — that points into an immutable profile or a
+// decoded buffer and is never written through. It is exported so the wire
+// codec (internal/wire) can reconstruct descriptor payloads when messages
+// arrive over a real transport.
 type SubsSummary []TopicID
+
+// payloadSubs extracts the subscription list a descriptor carries.
+func payloadSubs(d tman.Descriptor) ([]TopicID, bool) {
+	if s, ok := d.Payload.(*SubsSummary); ok && s != nil {
+		return *s, true
+	}
+	return nil, false
+}
 
 // relayState is the per-topic soft state of a node on one or more relay
 // paths.

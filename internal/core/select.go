@@ -187,7 +187,7 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 		if until, suspect := n.suspects[d.ID]; suspect && until > now {
 			continue
 		}
-		if subs, ok := d.Payload.(SubsSummary); ok {
+		if subs, ok := payloadSubs(d); ok {
 			n.recordSubs(d.ID, subs)
 		}
 		live = append(live, d)
@@ -269,10 +269,10 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 // payload, falling back to the profile store for candidates whose payload
 // has not propagated yet.
 func (n *Node) subsOf(d tman.Descriptor) []TopicID {
-	if subs, ok := d.Payload.(SubsSummary); ok {
+	if subs, ok := payloadSubs(d); ok {
 		return subs
 	}
-	if p, ok := n.profiles[d.ID]; ok {
+	if p := n.profiles[d.ID]; p != nil {
 		return p.Subs
 	}
 	if subs, ok := n.knownSubs[d.ID]; ok {

@@ -138,7 +138,8 @@ func newTestNode(t *testing.T, id NodeID, params Params) *Node {
 }
 
 func descWithSubs(id NodeID, subs ...TopicID) tman.Descriptor {
-	return tman.Descriptor{ID: id, Payload: SubsSummary(subs)}
+	s := SubsSummary(subs)
+	return tman.Descriptor{ID: id, Payload: &s}
 }
 
 func TestSelectNeighborsStructure(t *testing.T) {

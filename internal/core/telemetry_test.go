@@ -11,12 +11,12 @@ import (
 	"vitis/internal/telemetry"
 )
 
-// TestTelemetryMatchesCollector runs a simulated cluster with the full
+// TestTelemetryMatchesOracle runs a simulated cluster with the full
 // telemetry stack enabled — registry-backed instruments plus a span tracer —
 // and cross-checks three independent accountings of the same dissemination:
-// the paper-metrics Collector, the telemetry counters, and the propagation
+// the paper-metrics oracle, the telemetry counters, and the propagation
 // trees reconstructed from the trace. All three must agree.
-func TestTelemetryMatchesCollector(t *testing.T) {
+func TestTelemetryMatchesOracle(t *testing.T) {
 	const n = 24
 	tp := Topic("traced")
 	eng := simnet.NewEngine(42)
@@ -27,13 +27,13 @@ func TestTelemetryMatchesCollector(t *testing.T) {
 	var traceBuf bytes.Buffer
 	tracer := telemetry.NewTracer(&traceBuf, func() int64 { return int64(eng.Now()) })
 
-	coll := metrics.New()
+	oracle := metrics.New()
 	hooks := Hooks{
 		OnDeliver: func(node NodeID, topic TopicID, ev EventID, hops int) {
-			coll.Deliver(ev, node, hops)
+			oracle.Deliver(ev, node, hops)
 		},
 		OnNotification: func(node NodeID, topic TopicID, interested bool) {
-			coll.Notification(node, interested)
+			oracle.Notification(node, interested)
 		},
 		// All nodes share one bundle: the counters aggregate across the
 		// cluster, which is exactly what the cross-check wants.
@@ -63,11 +63,11 @@ func TestTelemetryMatchesCollector(t *testing.T) {
 
 	pub := nodes[0]
 	ev := pub.Publish(tp)
-	coll.RecordPublish(ev, tp, eng.Now(), collectSubscribers(nodes, tp))
+	oracle.RecordPublish(ev, tp, eng.Now(), collectSubscribers(nodes, tp))
 	// The publisher's own delivery hook fired inside Publish, before the
 	// event was registered; re-record it (same dance as the experiment
 	// runner).
-	coll.Deliver(ev, pub.ID(), 0)
+	oracle.Deliver(ev, pub.ID(), 0)
 	eng.RunUntil(eng.Now() + 10*simnet.Second)
 
 	if err := tracer.Flush(); err != nil {
@@ -90,8 +90,8 @@ func TestTelemetryMatchesCollector(t *testing.T) {
 	}
 
 	// Every node subscribed, so the tree's deliveries (publisher included)
-	// must match the Collector's perfect hit ratio and the shared counter.
-	if hr := coll.HitRatio(); hr != 1 {
+	// must match the oracle's perfect hit ratio and the shared counter.
+	if hr := oracle.HitRatio(); hr != 1 {
 		t.Fatalf("hit ratio = %v, want 1 (cluster too unstable for cross-check)", hr)
 	}
 	if tree.Deliveries != n {
@@ -104,20 +104,20 @@ func TestTelemetryMatchesCollector(t *testing.T) {
 		t.Errorf("tree receipts = %d, want %d (everyone but the publisher)", tree.Receipts, n-1)
 	}
 
-	// The reconstructed tree's average hop count must equal the Collector's
+	// The reconstructed tree's average hop count must equal the oracle's
 	// propagation delay: both exclude the publisher's 0-hop self-delivery.
-	if got, want := tree.AvgHops(), coll.AvgDelay(); math.Abs(got-want) > 1e-9 {
+	if got, want := tree.AvgHops(), oracle.AvgDelay(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("tree avg hops = %v, collector avg delay = %v", got, want)
 	}
-	if tree.MaxHops != coll.MaxDelay() {
-		t.Errorf("tree max hops = %d, collector max delay = %d", tree.MaxHops, coll.MaxDelay())
+	if tree.MaxHops != oracle.MaxDelay() {
+		t.Errorf("tree max hops = %d, oracle max delay = %d", tree.MaxHops, oracle.MaxDelay())
 	}
 
 	// The histogram saw one observation per non-publisher delivery.
 	if got := tel.DeliveryHops.Count(); got != uint64(n-1) {
 		t.Errorf("delivery-hops observations = %d, want %d", got, n-1)
 	}
-	if got, want := tel.DeliveryHops.Sum()/float64(n-1), coll.AvgDelay(); math.Abs(got-want) > 1e-9 {
+	if got, want := tel.DeliveryHops.Sum()/float64(n-1), oracle.AvgDelay(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("histogram mean = %v, collector avg delay = %v", got, want)
 	}
 
@@ -187,5 +187,34 @@ func TestDisabledTelemetryIsInert(t *testing.T) {
 	}
 	if nodes[0].tracer != nil {
 		t.Error("node without hooks must have no tracer")
+	}
+}
+
+// TestClockSkewNotObservedAsLatency: a publisher whose clock runs ahead of
+// the receiver's stamps notifications from the receiver's future. Such an
+// event is still delivered, but it is counted as clock skew instead of
+// landing in the latency histogram as a 0 s sample.
+func TestClockSkewNotObservedAsLatency(t *testing.T) {
+	eng := simnet.NewEngine(1)
+	net := simnet.NewNetwork(eng, simnet.ConstantLatency(simnet.Lost))
+	tel := telemetry.NewNodeMetrics(telemetry.NewRegistry())
+	const now = 10_000 // the receiver's ms clock
+	n := NewNode(net, 100, Params{}, Hooks{Metrics: tel, Now: func() int64 { return now }})
+	n.Join(nil)
+	tp := Topic("skew")
+	n.Subscribe(tp)
+
+	n.handleNotification(200, Notification{Topic: tp, Event: EventID{Publisher: 200, Seq: 1}, Hops: 1, PubTime: now - 5})
+	before := tel.DeliveryLatency.Count()
+	n.handleNotification(200, Notification{Topic: tp, Event: EventID{Publisher: 200, Seq: 2}, Hops: 1, PubTime: now + 250})
+
+	if got := tel.DeliveryLatency.Count(); got != before {
+		t.Errorf("latency histogram count %d → %d: a future PubTime was observed", before, got)
+	}
+	if got := tel.ClockSkew.Value(); got != 1 {
+		t.Errorf("clock skew counter = %d, want 1", got)
+	}
+	if got := tel.Deliveries.Value(); got != 2 {
+		t.Errorf("deliveries = %d, want 2 (skew must not drop the event)", got)
 	}
 }

@@ -11,7 +11,7 @@ func TestWireSizes(t *testing.T) {
 	prof := &Profile{
 		ID:        1,
 		Subs:      []TopicID{tp, tp + 1},
-		Proposals: map[TopicID]Proposal{tp: {GW: 1, Parent: 1, Hops: 0}},
+		Proposals: []TopicProposal{{Topic: tp, Proposal: Proposal{GW: 1, Parent: 1, Hops: 0}}},
 	}
 	if got := (ProfileMsg{Profile: prof}).WireSize(); got != 1+8+2+16+2+28 {
 		t.Errorf("ProfileMsg = %d", got)

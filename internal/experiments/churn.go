@@ -38,10 +38,10 @@ type ChurnRunConfig struct {
 	Seed int64
 }
 
-// ChurnResult carries the collector (with its time series) and the sampled
-// network size.
+// ChurnResult carries the metrics oracle (with its time series) and the
+// sampled network size.
 type ChurnResult struct {
-	Collector *metrics.Collector
+	Oracle *metrics.Oracle
 	// SizeSeries samples the alive-node count every Bucket.
 	SizeSeries []metrics.SeriesPoint
 }
@@ -210,7 +210,7 @@ func RunChurn(cfg ChurnRunConfig) (*ChurnResult, error) {
 	eng.RunUntil(end + 20*simnet.Second)
 
 	addRunTotals(eng.EventsExecuted(), net.BytesSent())
-	return &ChurnResult{Collector: col, SizeSeries: sizes}, nil
+	return &ChurnResult{Oracle: col, SizeSeries: sizes}, nil
 }
 
 func sortedKeys(m map[int]bool) []int {

@@ -526,9 +526,9 @@ func Fig12Churn(sc Scale) (*tablefmt.Table, error) {
 		Columns: []string{"time", "net-size",
 			"Vitis-hit", "RVR-hit", "Vitis-ovh", "RVR-ovh", "Vitis-delay", "RVR-delay"},
 	}
-	vh, rh := vit.Collector.HitRatioSeries(), rv.Collector.HitRatioSeries()
-	vo, ro := vit.Collector.OverheadSeries(), rv.Collector.OverheadSeries()
-	vd, rd := vit.Collector.DelaySeries(), rv.Collector.DelaySeries()
+	vh, rh := vit.Oracle.HitRatioSeries(), rv.Oracle.HitRatioSeries()
+	vo, ro := vit.Oracle.OverheadSeries(), rv.Oracle.OverheadSeries()
+	vd, rd := vit.Oracle.DelaySeries(), rv.Oracle.DelaySeries()
 	// Align all series on bucket index (the size samples carry a random
 	// phase within their bucket).
 	pick := func(pts []metrics.SeriesPoint, t simnet.Time, asPct bool) string {

@@ -159,8 +159,8 @@ type RunResult struct {
 	// bandwidth reporting (also aggregated process-wide, see Totals).
 	EventsExecuted uint64
 	BytesOnWire    uint64
-	// Collector gives access to everything else.
-	Collector *metrics.Collector
+	// Oracle gives access to everything else.
+	Oracle *metrics.Oracle
 }
 
 // notifObserver counts notification deliveries for the proximity ablation.
@@ -363,7 +363,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		PerNodeOverheadPct: col.PerNodeOverheadPct(nids),
 		EventsExecuted:     eng.EventsExecuted(),
 		BytesOnWire:        net.BytesSent(),
-		Collector:          col,
+		Oracle:             col,
 	}
 	addRunTotals(res.EventsExecuted, res.BytesOnWire)
 	if notifLinks > 0 {

@@ -43,8 +43,8 @@ func TestRunVitisDelivers(t *testing.T) {
 	if res.AvgDelay <= 0 {
 		t.Errorf("AvgDelay = %g", res.AvgDelay)
 	}
-	if res.Collector.Events() != 30 {
-		t.Errorf("tracked %d events", res.Collector.Events())
+	if res.Oracle.Events() != 30 {
+		t.Errorf("tracked %d events", res.Oracle.Events())
 	}
 }
 
@@ -140,11 +140,11 @@ func TestRunChurnSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Collector.Events() == 0 {
+	if res.Oracle.Events() == 0 {
 		t.Error("no events published under churn")
 	}
-	if res.Collector.HitRatio() < 0.7 {
-		t.Errorf("churn hit ratio %.3f suspiciously low", res.Collector.HitRatio())
+	if res.Oracle.HitRatio() < 0.7 {
+		t.Errorf("churn hit ratio %.3f suspiciously low", res.Oracle.HitRatio())
 	}
 	if len(res.SizeSeries) == 0 {
 		t.Error("no network-size samples")
@@ -239,7 +239,7 @@ func TestChurnVitisAtLeastMatchesRVR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Collector.HitRatio()
+		return res.Oracle.HitRatio()
 	}
 	vit := run(Vitis)
 	rv := run(RVR)

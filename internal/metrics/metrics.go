@@ -8,8 +8,11 @@
 //   - Propagation delay: the average number of overlay hops events take to
 //     reach their subscribers.
 //
-// A Collector is fed from the protocol hooks (OnDeliver/OnNotification) and
-// from the experiment driver (RecordPublish). With a positive bucket width
+// An Oracle is fed from the protocol hooks (OnDeliver/OnNotification) and
+// from the experiment driver (RecordPublish). It is the simulator's ground
+// truth: it sees every node and knows each event's subscriber set, which no
+// live node can (telemetry.Collector is the live counterpart, built only
+// from scraped counters). With a positive bucket width
 // it additionally accumulates the time series used by the churn experiment
 // (Fig. 12).
 package metrics
@@ -39,9 +42,9 @@ type nodeTraffic struct {
 	uninterested int
 }
 
-// Collector accumulates metrics for one simulation run. It is
+// Oracle accumulates metrics for one simulation run. It is
 // single-threaded, like the simulator feeding it.
-type Collector struct {
+type Oracle struct {
 	events  map[any]*eventRecord
 	traffic map[NodeID]*nodeTraffic
 
@@ -52,18 +55,18 @@ type Collector struct {
 	extraDeliveries int
 }
 
-// New creates a collector without time series.
-func New() *Collector {
-	return &Collector{
+// New creates an oracle without time series.
+func New() *Oracle {
+	return &Oracle{
 		events:  make(map[any]*eventRecord),
 		traffic: make(map[NodeID]*nodeTraffic),
 	}
 }
 
-// NewWithSeries creates a collector that also buckets measurements over
+// NewWithSeries creates an oracle that also buckets measurements over
 // simulated time. nowFn supplies the current time for traffic bucketing
 // (typically engine.Now).
-func NewWithSeries(bucket simnet.Time, nowFn func() simnet.Time) *Collector {
+func NewWithSeries(bucket simnet.Time, nowFn func() simnet.Time) *Oracle {
 	c := New()
 	c.bucket = bucket
 	c.nowFn = nowFn
@@ -73,7 +76,7 @@ func NewWithSeries(bucket simnet.Time, nowFn func() simnet.Time) *Collector {
 
 // RecordPublish registers a new event and freezes its expected subscriber
 // set.
-func (c *Collector) RecordPublish(ev any, topic idspace.ID, at simnet.Time, expected []NodeID) {
+func (c *Oracle) RecordPublish(ev any, topic idspace.ID, at simnet.Time, expected []NodeID) {
 	rec := &eventRecord{
 		topic:       topic,
 		publishedAt: at,
@@ -89,7 +92,7 @@ func (c *Collector) RecordPublish(ev any, topic idspace.ID, at simnet.Time, expe
 // Deliver records that node received ev after the given number of hops.
 // Deliveries of unknown events or to unexpected nodes are tallied separately
 // and do not affect the hit ratio.
-func (c *Collector) Deliver(ev any, node NodeID, hops int) {
+func (c *Oracle) Deliver(ev any, node NodeID, hops int) {
 	rec, ok := c.events[ev]
 	if !ok {
 		c.extraDeliveries++
@@ -106,7 +109,7 @@ func (c *Collector) Deliver(ev any, node NodeID, hops int) {
 
 // Notification records one data-plane receipt at node; interested indicates
 // whether the node subscribes to the topic.
-func (c *Collector) Notification(node NodeID, interested bool) {
+func (c *Oracle) Notification(node NodeID, interested bool) {
 	nt, ok := c.traffic[node]
 	if !ok {
 		nt = &nodeTraffic{}
@@ -132,8 +135,8 @@ func (c *Collector) Notification(node NodeID, interested bool) {
 
 // HitRatio returns delivered/(expected) over all (event, subscriber) pairs,
 // in [0,1]. Events with no expected subscribers are skipped. Returns 1 for
-// an empty collector (nothing was missed).
-func (c *Collector) HitRatio() float64 {
+// an empty oracle (nothing was missed).
+func (c *Oracle) HitRatio() float64 {
 	var expected, delivered int
 	for _, rec := range c.events {
 		expected += len(rec.expected)
@@ -148,7 +151,7 @@ func (c *Collector) HitRatio() float64 {
 // AvgDelay returns the mean hop count over all deliveries to subscribers
 // other than the publisher itself (whose local delivery is 0 hops). NaN-free:
 // returns 0 when there were no such deliveries.
-func (c *Collector) AvgDelay() float64 {
+func (c *Oracle) AvgDelay() float64 {
 	var sum, n int
 	for _, rec := range c.events {
 		for _, hops := range rec.delivered {
@@ -166,7 +169,7 @@ func (c *Collector) AvgDelay() float64 {
 }
 
 // MaxDelay returns the largest delivery hop count seen.
-func (c *Collector) MaxDelay() int {
+func (c *Oracle) MaxDelay() int {
 	var max int
 	for _, rec := range c.events {
 		for _, hops := range rec.delivered {
@@ -180,7 +183,7 @@ func (c *Collector) MaxDelay() int {
 
 // OverheadRatio returns the system-wide fraction of uninterested data-plane
 // receipts, in [0,1].
-func (c *Collector) OverheadRatio() float64 {
+func (c *Oracle) OverheadRatio() float64 {
 	var total, unint int
 	for _, nt := range c.traffic {
 		total += nt.total
@@ -197,7 +200,7 @@ func (c *Collector) OverheadRatio() float64 {
 // plotted in Fig. 5. Nodes that received nothing are reported by the allNodes
 // argument: pass the full population so silent nodes count as 0% overhead,
 // or nil to include only receiving nodes.
-func (c *Collector) PerNodeOverheadPct(allNodes []NodeID) []float64 {
+func (c *Oracle) PerNodeOverheadPct(allNodes []NodeID) []float64 {
 	var out []float64
 	seen := make(map[NodeID]bool, len(c.traffic))
 	for id, nt := range c.traffic {
@@ -215,7 +218,7 @@ func (c *Collector) PerNodeOverheadPct(allNodes []NodeID) []float64 {
 
 // OverheadHistogram buckets the per-node overhead percentages into nbins
 // equal bins over [0,100] and returns the fraction of nodes per bin.
-func (c *Collector) OverheadHistogram(allNodes []NodeID, nbins int) *stats.Histogram {
+func (c *Oracle) OverheadHistogram(allNodes []NodeID, nbins int) *stats.Histogram {
 	h := stats.NewHistogram(0, 100.0000001, nbins)
 	for _, pct := range c.PerNodeOverheadPct(allNodes) {
 		h.Add(pct)
@@ -225,10 +228,10 @@ func (c *Collector) OverheadHistogram(allNodes []NodeID, nbins int) *stats.Histo
 
 // ExtraDeliveries returns deliveries that matched no tracked event or
 // subscriber (useful to check nothing leaks where it should not).
-func (c *Collector) ExtraDeliveries() int { return c.extraDeliveries }
+func (c *Oracle) ExtraDeliveries() int { return c.extraDeliveries }
 
 // Events returns the number of tracked events.
-func (c *Collector) Events() int { return len(c.events) }
+func (c *Oracle) Events() int { return len(c.events) }
 
 // SeriesPoint is one bucket of a time series.
 type SeriesPoint struct {
@@ -237,7 +240,7 @@ type SeriesPoint struct {
 }
 
 // HitRatioSeries returns the hit ratio of events bucketed by publish time.
-func (c *Collector) HitRatioSeries() []SeriesPoint {
+func (c *Oracle) HitRatioSeries() []SeriesPoint {
 	if c.bucket <= 0 {
 		return nil
 	}
@@ -266,7 +269,7 @@ func (c *Collector) HitRatioSeries() []SeriesPoint {
 
 // DelaySeries returns the mean delivery hop count of events bucketed by
 // publish time.
-func (c *Collector) DelaySeries() []SeriesPoint {
+func (c *Oracle) DelaySeries() []SeriesPoint {
 	if c.bucket <= 0 {
 		return nil
 	}
@@ -297,7 +300,7 @@ func (c *Collector) DelaySeries() []SeriesPoint {
 
 // OverheadSeries returns the aggregate overhead ratio of notifications
 // bucketed by receipt time.
-func (c *Collector) OverheadSeries() []SeriesPoint {
+func (c *Oracle) OverheadSeries() []SeriesPoint {
 	if c.bucket <= 0 {
 		return nil
 	}

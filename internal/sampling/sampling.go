@@ -10,8 +10,9 @@
 package sampling
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
@@ -158,32 +159,24 @@ func (s *Service) HandleMessage(from simnet.NodeID, msg simnet.Message) bool {
 // merge folds the incoming view into the local one, keeping the freshest
 // descriptor per id and then the ViewSize freshest overall.
 func (s *Service) merge(incoming []Descriptor) {
-	best := make(map[simnet.NodeID]int, len(s.view)+len(incoming))
-	for _, d := range s.view {
-		if cur, ok := best[d.ID]; !ok || d.Age < cur {
-			best[d.ID] = d.Age
-		}
-	}
+	view := s.view
 	for _, d := range incoming {
-		if d.ID == s.self {
-			continue
-		}
-		if cur, ok := best[d.ID]; !ok || d.Age < cur {
-			best[d.ID] = d.Age
+		if d.ID != s.self {
+			view = append(view, d)
 		}
 	}
-	s.view = s.view[:0]
-	for id, age := range best {
-		s.view = append(s.view, Descriptor{ID: id, Age: age})
-	}
+	// Sorted by (id, age), the freshest descriptor of each id comes first
+	// and compaction keeps it.
+	slices.SortFunc(view, func(a, b Descriptor) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Age, b.Age))
+	})
+	view = slices.CompactFunc(view, func(a, b Descriptor) bool { return a.ID == b.ID })
 	// Sort by (age, id) so truncation keeps the freshest and stays
 	// deterministic.
-	sort.Slice(s.view, func(i, j int) bool {
-		if s.view[i].Age != s.view[j].Age {
-			return s.view[i].Age < s.view[j].Age
-		}
-		return s.view[i].ID < s.view[j].ID
+	slices.SortFunc(view, func(a, b Descriptor) int {
+		return cmp.Or(cmp.Compare(a.Age, b.Age), cmp.Compare(a.ID, b.ID))
 	})
+	s.view = view
 	s.truncate()
 }
 

@@ -31,7 +31,11 @@ type NodeMetrics struct {
 	// measured from the publish timestamp carried in each notification.
 	// Self-deliveries are excluded, mirroring DeliveryHops.
 	DeliveryLatency *Histogram
-	SeenEvents      *Gauge // live seen-set entries
+	// ClockSkew counts deliveries (live or catch-up) whose publish
+	// timestamp lies ahead of this node's clock; they are left out of the
+	// latency histograms.
+	ClockSkew  *Counter
+	SeenEvents *Gauge // live seen-set entries
 	// Relay paths and rendezvous routing (§III-B, Alg. 5).
 	RelayLookups    *Counter // greedy lookups initiated as gateway
 	RelayHops       *Counter // relay lookup hops forwarded through this node
@@ -106,6 +110,7 @@ func NewNodeMetrics(r *Registry) *NodeMetrics {
 			1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
 		DeliveryLatency: r.Histogram("vitis_core_delivery_latency_seconds", "End-to-end publish-to-deliver latency of live notifications.",
 			DeliveryLatencyBounds...),
+		ClockSkew:          r.Counter("vitis_core_clock_skew_total", "Deliveries whose publish timestamp was ahead of this node's clock (left out of the latency histograms)."),
 		SeenEvents:         r.Gauge("vitis_core_seen_events", "Events in the dedup seen-set."),
 		RelayLookups:       r.Counter("vitis_core_relay_lookups_total", "Relay-path lookups initiated as gateway."),
 		RelayHops:          r.Counter("vitis_core_relay_hops_total", "Relay lookup hops forwarded through this node."),

@@ -44,7 +44,7 @@ type EventTree struct {
 }
 
 // AvgHops is the mean delivery hop count over deliveries with hops > 0 —
-// the same definition as the simulator's metrics.Collector.AvgDelay, so the
+// the same definition as the simulator's metrics.Oracle.AvgDelay, so the
 // two are directly comparable.
 func (t *EventTree) AvgHops() float64 {
 	if t.hopCount == 0 {

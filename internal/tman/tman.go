@@ -73,7 +73,7 @@ func New(net simnet.Net, self simnet.NodeID, period simnet.Time, cb Callbacks, b
 	if x.cb.Metrics == nil {
 		x.cb.Metrics = &telemetry.GossipMetrics{}
 	}
-	x.rt = dedup(self, bootstrap)
+	x.rt = appendUnique(nil, self, bootstrap)
 	return x
 }
 
@@ -111,7 +111,7 @@ func (x *Exchanger) tick() {
 		x.rng.Float64() < x.cb.SamplePeerProb
 	if fromSamples {
 		if samples := x.cb.SampleNodes(); len(samples) > 0 {
-			x.net.Send(x.self, samples[x.rng.Intn(len(samples))].ID, Request{Buffer: x.buildBuffer(nil)})
+			x.net.Send(x.self, samples[x.rng.Intn(len(samples))].ID, Request{Buffer: x.buildBuffer()})
 			return
 		}
 	}
@@ -128,34 +128,46 @@ func (x *Exchanger) tick() {
 	} else {
 		return
 	}
-	x.net.Send(x.self, peer, Request{Buffer: x.buildBuffer(nil)})
+	x.net.Send(x.self, peer, Request{Buffer: x.buildBuffer()})
 }
 
-// buildBuffer merges extra, the routing table and fresh samples, dedups by
-// id keeping the first occurrence, and excludes self (Algorithm 2 lines
-// 3–4). Entries earlier in the argument win dedup ties, so callers put the
-// freshest information first.
-func (x *Exchanger) buildBuffer(extra []Descriptor) []Descriptor {
-	merged := make([]Descriptor, 0, len(extra)+len(x.rt)+8)
-	merged = append(merged, extra...)
-	merged = append(merged, x.rt...)
-	if x.cb.SampleNodes != nil {
-		merged = append(merged, x.cb.SampleNodes()...)
-	}
+// buildBuffer merges the routing table and fresh samples behind our own
+// descriptor, dedups by id keeping the first occurrence, and excludes every
+// other copy of self (Algorithm 2 lines 3–4). The result is the exchange's
+// one allocation: it becomes the outgoing message's buffer, which the
+// simulator holds until delivery.
+func (x *Exchanger) buildBuffer() []Descriptor {
+	samples := x.samples()
 	// Self goes in front so the receiver sees our freshest payload even if
 	// a stale descriptor of us floats in its buffer.
-	return append([]Descriptor{x.cb.SelfDescriptor()}, dedup(x.self, merged)...)
+	out := make([]Descriptor, 1, 1+len(x.rt)+len(samples))
+	out[0] = x.cb.SelfDescriptor()
+	out = appendUnique(out, x.self, x.rt)
+	return appendUnique(out, x.self, samples)
 }
 
+// applySelect hands the deduplicated union of incoming, the routing table
+// and fresh samples to SelectNeighbors, and stores its choice as the new
+// table in the table's own backing array.
 func (x *Exchanger) applySelect(incoming []Descriptor) {
-	buffer := make([]Descriptor, 0, len(incoming)+len(x.rt)+8)
-	buffer = append(buffer, incoming...)
-	buffer = append(buffer, x.rt...)
-	if x.cb.SampleNodes != nil {
-		buffer = append(buffer, x.cb.SampleNodes()...)
+	samples := x.samples()
+	buffer := make([]Descriptor, 0, len(incoming)+len(x.rt)+len(samples))
+	buffer = appendUnique(buffer, x.self, incoming)
+	buffer = appendUnique(buffer, x.self, x.rt)
+	buffer = appendUnique(buffer, x.self, samples)
+	selected := x.cb.SelectNeighbors(buffer)
+	old := len(x.rt)
+	x.rt = appendUnique(x.rt[:0], x.self, selected)
+	if len(x.rt) < old {
+		clear(x.rt[len(x.rt):old]) // do not pin dropped payloads
 	}
-	buffer = dedup(x.self, buffer)
-	x.rt = dedup(x.self, x.cb.SelectNeighbors(buffer))
+}
+
+func (x *Exchanger) samples() []Descriptor {
+	if x.cb.SampleNodes == nil {
+		return nil
+	}
+	return x.cb.SampleNodes()
 }
 
 // HandleMessage consumes T-Man messages; it reports false for others.
@@ -165,7 +177,7 @@ func (x *Exchanger) HandleMessage(from simnet.NodeID, msg simnet.Message) bool {
 		if !x.stopped {
 			// Passive thread (Algorithm 3): reply with our buffer,
 			// then refresh our own table from the incoming one.
-			x.net.Send(x.self, from, Reply{Buffer: x.buildBuffer(nil)})
+			x.net.Send(x.self, from, Reply{Buffer: x.buildBuffer()})
 			x.applySelect(m.Buffer)
 		}
 		return true
@@ -193,14 +205,7 @@ func (x *Exchanger) RTRef() []Descriptor { return x.rt }
 func (x *Exchanger) Len() int { return len(x.rt) }
 
 // Contains reports whether id is currently in the routing table.
-func (x *Exchanger) Contains(id simnet.NodeID) bool {
-	for _, d := range x.rt {
-		if d.ID == id {
-			return true
-		}
-	}
-	return false
-}
+func (x *Exchanger) Contains(id simnet.NodeID) bool { return containsID(x.rt, id) }
 
 // Remove deletes id from the routing table (failure detection by the
 // embedding protocol). It reports whether the entry existed.
@@ -230,17 +235,26 @@ func (x *Exchanger) UpdatePayload(id simnet.NodeID, payload any) {
 // full period for its first table.
 func (x *Exchanger) ForceSelect() { x.applySelect(nil) }
 
-func dedup(self simnet.NodeID, ds []Descriptor) []Descriptor {
-	seen := make(map[simnet.NodeID]bool, len(ds))
-	out := make([]Descriptor, 0, len(ds))
-	for _, d := range ds {
-		if d.ID == self || seen[d.ID] {
-			continue
+// appendUnique appends the descriptors of src to dst, skipping self and any
+// id already in dst (first occurrence wins). Buffers hold a few dozen
+// entries, where scanning dst beats hashing into a map that would have to
+// be allocated per exchange or kept per exchanger.
+func appendUnique(dst []Descriptor, self simnet.NodeID, src []Descriptor) []Descriptor {
+	for _, d := range src {
+		if d.ID != self && !containsID(dst, d.ID) {
+			dst = append(dst, d)
 		}
-		seen[d.ID] = true
-		out = append(out, d)
 	}
-	return out
+	return dst
+}
+
+func containsID(ds []Descriptor, id simnet.NodeID) bool {
+	for _, d := range ds {
+		if d.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // descriptorWireSize is one descriptor's encoded bytes: the id, a payload

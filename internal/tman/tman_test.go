@@ -1,6 +1,8 @@
 package tman
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 
 func TestDedup(t *testing.T) {
 	ds := []Descriptor{{ID: 1}, {ID: 2}, {ID: 1, Payload: "late"}, {ID: 3}, {ID: 2}}
-	out := dedup(3, ds)
+	out := appendUnique(nil, 3, ds)
 	if len(out) != 2 {
 		t.Fatalf("dedup kept %d entries: %v", len(out), out)
 	}
@@ -20,6 +22,30 @@ func TestDedup(t *testing.T) {
 	}
 	if out[0].Payload != nil {
 		t.Error("dedup should keep the first occurrence's payload")
+	}
+
+	// Against a map reference on random inputs, including ids already in
+	// dst and copies of self.
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{5, 50, 300} {
+		for trial := 0; trial < 20; trial++ {
+			dst := []Descriptor{{ID: 1}, {ID: 2}}
+			src := make([]Descriptor, size)
+			for i := range src {
+				src[i] = Descriptor{ID: simnet.NodeID(rng.Intn(size)), Payload: i}
+			}
+			want := append([]Descriptor(nil), dst...)
+			seen := map[simnet.NodeID]bool{1: true, 2: true, 7: true}
+			for _, d := range src {
+				if !seen[d.ID] {
+					seen[d.ID] = true
+					want = append(want, d)
+				}
+			}
+			if got := appendUnique(dst, 7, src); !slices.Equal(got, want) {
+				t.Fatalf("size %d: appendUnique = %v, want %v", size, got, want)
+			}
+		}
 	}
 }
 

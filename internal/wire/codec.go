@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"sort"
 
 	"vitis/internal/bootstrap"
 	"vitis/internal/core"
@@ -285,7 +284,7 @@ func decodeSamplingView(r *reader) []sampling.Descriptor {
 // Descriptor payload kinds on the wire.
 const (
 	payloadNone byte = 0 // Payload == nil
-	payloadSubs byte = 1 // core.SubsSummary
+	payloadSubs byte = 1 // *core.SubsSummary
 )
 
 func encodeTManBuffer(w *writer, buf []tman.Descriptor) error {
@@ -298,13 +297,13 @@ func encodeTManBuffer(w *writer, buf []tman.Descriptor) error {
 		switch p := d.Payload.(type) {
 		case nil:
 			w.u8(payloadNone)
-		case core.SubsSummary:
+		case *core.SubsSummary:
 			w.u8(payloadSubs)
-			if len(p) > maxCount {
-				return fmt.Errorf("%w: %d topics", ErrTooLarge, len(p))
+			if len(*p) > maxCount {
+				return fmt.Errorf("%w: %d topics", ErrTooLarge, len(*p))
 			}
-			w.u16(uint16(len(p)))
-			for _, t := range p {
+			w.u16(uint16(len(*p)))
+			for _, t := range *p {
 				w.u64(uint64(t))
 			}
 		default:
@@ -317,18 +316,45 @@ func encodeTManBuffer(w *writer, buf []tman.Descriptor) error {
 	return nil
 }
 
+// decodeTManBuffer makes three allocations whatever the number of
+// descriptors: the descriptors, the list headers their payloads point to,
+// and one backing array for every subscription list of the buffer, sized by
+// a dry walk over the body first.
 func decodeTManBuffer(r *reader) []tman.Descriptor {
 	n := r.count(9)
 	if n == 0 {
 		return nil
 	}
+	lists, topics := 0, 0
+	scan := *r
+	for i := 0; i < n && scan.err == nil; i++ {
+		scan.take(8)
+		if scan.u8() == payloadSubs {
+			k := int(scan.u16())
+			if scan.take(8*k) != nil {
+				lists++
+				topics += k
+			}
+		}
+	}
+	// The walk counted only complete lists, and decoding stops at the
+	// first one that is not, so neither array can overflow.
+	sums := make([]core.SubsSummary, lists)
+	backing := make([]core.TopicID, topics)
 	buf := make([]tman.Descriptor, n)
 	for i := range buf {
 		buf[i].ID = simnet.NodeID(r.u64())
 		switch r.u8() {
 		case payloadNone:
 		case payloadSubs:
-			buf[i].Payload = core.SubsSummary(decodeTopicList(r))
+			list, rest := decodeTopicListInto(r, backing)
+			if r.err != nil {
+				return nil
+			}
+			backing = rest
+			sums[0] = list
+			buf[i].Payload = &sums[0]
+			sums = sums[1:]
 		default:
 			r.fail(ErrCanonical)
 			return nil
@@ -344,19 +370,30 @@ func decodeTManBuffer(r *reader) []tman.Descriptor {
 // lists are sorted everywhere in the protocols, so unsorted or duplicated
 // entries mark a non-canonical (or corrupted) frame.
 func decodeTopicList(r *reader) []core.TopicID {
+	list, _ := decodeTopicListInto(r, nil)
+	return list
+}
+
+// decodeTopicListInto is decodeTopicList reading into the front of backing
+// (a fresh array when backing is too short); it returns the list and the
+// unused rest of backing.
+func decodeTopicListInto(r *reader, backing []core.TopicID) (list, rest []core.TopicID) {
 	n := r.count(8)
 	if n == 0 {
-		return nil
+		return nil, backing
 	}
-	out := make([]core.TopicID, n)
-	for i := range out {
-		out[i] = core.TopicID(r.u64())
-		if r.err == nil && i > 0 && out[i] <= out[i-1] {
+	if len(backing) < n {
+		backing = make([]core.TopicID, n)
+	}
+	list, rest = backing[:n:n], backing[n:]
+	for i := range list {
+		list[i] = core.TopicID(r.u64())
+		if r.err == nil && i > 0 && list[i] <= list[i-1] {
 			r.fail(ErrCanonical)
-			return nil
+			return nil, rest
 		}
 	}
-	return out
+	return list, rest
 }
 
 // --- core.ProfileMsg ---
@@ -388,24 +425,22 @@ func encodeProfile(w *writer, m core.ProfileMsg) error {
 	for _, t := range p.Subs {
 		w.u64(uint64(t))
 	}
-	// Maps have no order; sort by topic so encoding is deterministic and
-	// the decoder can demand canonical frames.
-	topics := make([]core.TopicID, 0, len(p.Proposals))
-	for t := range p.Proposals {
-		topics = append(topics, t)
-	}
-	sort.Slice(topics, func(i, j int) bool { return topics[i] < topics[j] })
-	w.u16(uint16(len(topics)))
-	for _, t := range topics {
-		prop := p.Proposals[t]
-		w.u64(uint64(t))
-		w.u64(uint64(prop.GW))
-		w.u64(uint64(prop.Parent))
-		w.u32(uint32(int32(prop.Hops)))
+	// Profiles keep their proposals sorted by topic, so they go out as
+	// they are; the decoder demands that order.
+	w.u16(uint16(len(p.Proposals)))
+	for _, e := range p.Proposals {
+		w.u64(uint64(e.Topic))
+		w.u64(uint64(e.Proposal.GW))
+		w.u64(uint64(e.Proposal.Parent))
+		w.u32(uint32(int32(e.Proposal.Hops)))
 	}
 	return nil
 }
 
+// decodeProfile accepts a proposal list only if its topics ascend strictly
+// and are a subset of the profile's own subscriptions (a node proposes
+// gateways only for topics it subscribes to), so what a heartbeat can make
+// a receiver store is bounded by the sender's subscription list.
 func decodeProfile(r *reader) (simnet.Message, error) {
 	flags := r.u8()
 	if r.err == nil && flags&^(profileHasBody|profileReply) != 0 {
@@ -416,21 +451,24 @@ func decodeProfile(r *reader) (simnet.Message, error) {
 		return m, r.err
 	}
 	p := &core.Profile{ID: idspace.ID(r.u64())}
-	if subs := decodeTopicList(r); len(subs) > 0 {
-		p.Subs = subs
-	}
+	p.Subs = decodeTopicList(r)
 	np := r.count(28)
 	if np > 0 {
-		p.Proposals = make(map[core.TopicID]core.Proposal, np)
-		var prev core.TopicID
-		for i := 0; i < np; i++ {
-			t := core.TopicID(r.u64())
-			if r.err == nil && i > 0 && t <= prev {
+		p.Proposals = make([]core.TopicProposal, np)
+		subs := p.Subs // unmatched tail: topics ascend in both lists
+		for i := range p.Proposals {
+			e := &p.Proposals[i]
+			e.Topic = core.TopicID(r.u64())
+			for len(subs) > 0 && subs[0] < e.Topic {
+				subs = subs[1:]
+			}
+			if r.err == nil && (len(subs) == 0 || subs[0] != e.Topic) {
+				// Out of order, duplicated, or not subscribed.
 				r.fail(ErrCanonical)
 				break
 			}
-			prev = t
-			p.Proposals[t] = core.Proposal{
+			subs = subs[1:]
+			e.Proposal = core.Proposal{
 				GW:     simnet.NodeID(r.u64()),
 				Parent: simnet.NodeID(r.u64()),
 				Hops:   int(int32(r.u32())),
@@ -449,13 +487,13 @@ func decodeProfile(r *reader) (simnet.Message, error) {
 func Samples() []simnet.Message {
 	view := []sampling.Descriptor{{ID: 3, Age: 0}, {ID: 9, Age: 4}}
 	subs := core.SubsSummary{10, 20, 30}
-	buf := []tman.Descriptor{{ID: 5}, {ID: 7, Payload: subs}}
+	buf := []tman.Descriptor{{ID: 5}, {ID: 7, Payload: &subs}}
 	profile := &core.Profile{
 		ID:   42,
 		Subs: []core.TopicID{10, 20},
-		Proposals: map[core.TopicID]core.Proposal{
-			10: {GW: 42, Parent: 42, Hops: 0},
-			20: {GW: 7, Parent: 5, Hops: 2},
+		Proposals: []core.TopicProposal{
+			{Topic: 10, Proposal: core.Proposal{GW: 42, Parent: 42, Hops: 0}},
+			{Topic: 20, Proposal: core.Proposal{GW: 7, Parent: 5, Hops: 2}},
 		},
 	}
 	return []simnet.Message{

@@ -21,6 +21,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{'V', 'w', Version, TProfile})
+	f.Add(unsubscribedProposalFrame())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		from, to, msg, err := Decode(data)

@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"strings"
 	"testing"
 
 	"vitis/internal/bootstrap"
@@ -89,8 +92,8 @@ func TestDecodePreservesContent(t *testing.T) {
 	prof := &core.Profile{
 		ID:   3,
 		Subs: []core.TopicID{5, 9},
-		Proposals: map[core.TopicID]core.Proposal{
-			5: {GW: 11, Parent: 3, Hops: 1},
+		Proposals: []core.TopicProposal{
+			{Topic: 5, Proposal: core.Proposal{GW: 11, Parent: 3, Hops: 1}},
 		},
 	}
 	frame, err := Encode(3, 4, core.ProfileMsg{Profile: prof, Reply: true})
@@ -108,7 +111,7 @@ func TestDecodePreservesContent(t *testing.T) {
 	if got.Profile.ID != 3 || len(got.Profile.Subs) != 2 || got.Profile.Subs[1] != 9 {
 		t.Errorf("profile fields lost: %+v", got.Profile)
 	}
-	if p := got.Profile.Proposals[5]; p.GW != 11 || p.Parent != 3 || p.Hops != 1 {
+	if p, _ := got.Profile.Proposal(5); p.GW != 11 || p.Parent != 3 || p.Hops != 1 {
 		t.Errorf("proposal lost: %+v", p)
 	}
 
@@ -128,7 +131,7 @@ func TestDecodePreservesContent(t *testing.T) {
 	}
 
 	frame, err = Encode(1, 2, tman.Request{Buffer: []tman.Descriptor{
-		{ID: 4, Payload: core.SubsSummary{7, 8}},
+		{ID: 4, Payload: &core.SubsSummary{7, 8}},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +144,7 @@ func TestDecodePreservesContent(t *testing.T) {
 	if len(buf) != 1 || buf[0].ID != 4 {
 		t.Fatalf("buffer lost: %+v", buf)
 	}
-	if subs, ok := buf[0].Payload.(core.SubsSummary); !ok || len(subs) != 2 || subs[1] != 8 {
+	if subs, ok := buf[0].Payload.(*core.SubsSummary); !ok || len(*subs) != 2 || (*subs)[1] != 8 {
 		t.Errorf("payload type lost: %#v", buf[0].Payload)
 	}
 }
@@ -201,17 +204,18 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 
 	// Non-canonical: unsorted proposal topics would re-encode differently,
 	// so the decoder must refuse them.
-	prof := &core.Profile{ID: 1, Proposals: map[core.TopicID]core.Proposal{
-		2: {GW: 1, Parent: 1}, 9: {GW: 1, Parent: 1},
+	prof := &core.Profile{ID: 1, Subs: []core.TopicID{2, 9}, Proposals: []core.TopicProposal{
+		{Topic: 2, Proposal: core.Proposal{GW: 1, Parent: 1}},
+		{Topic: 9, Proposal: core.Proposal{GW: 1, Parent: 1}},
 	}}
 	frame, err := Encode(1, 2, core.ProfileMsg{Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The two proposal entries start after flags(1)+id(8)+nsubs(2)+nprops(2);
-	// swap them to break the ascending order.
+	// The two proposal entries start after flags(1)+id(8)+nsubs(2)+
+	// subs(16)+nprops(2); swap them to break the ascending order.
 	body := frame[HeaderSize:]
-	entry := body[13:]
+	entry := body[29:]
 	swapped := append([]byte(nil), entry[28:56]...)
 	copy(entry[28:56], entry[:28])
 	copy(entry[:28], swapped)
@@ -330,5 +334,124 @@ func BenchmarkAppendEncode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSamplesMatchGolden pins the wire format itself: every sample encodes
+// to exactly the bytes recorded in testdata/samples.golden (one
+// "<type> <hex frame>" line per sample, from 7 to 9). A change to how the
+// Go values are represented must not move a single byte.
+func TestSamplesMatchGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/samples.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	samples := Samples()
+	if len(lines) != len(samples) {
+		t.Fatalf("golden has %d frames, Samples() %d", len(lines), len(samples))
+	}
+	for i, msg := range samples {
+		name, want, _ := strings.Cut(lines[i], " ")
+		frame, err := Encode(7, 9, msg)
+		if err != nil {
+			t.Fatalf("Encode(%T): %v", msg, err)
+		}
+		if got := TypeName(frame[3]); got != name {
+			t.Errorf("sample %d: type %s, golden says %s", i, got, name)
+		}
+		if got := hex.EncodeToString(frame); got != want {
+			t.Errorf("sample %d (%s) moved on the wire\n got: %s\nwant: %s", i, name, got, want)
+		}
+	}
+}
+
+// TestDecodeRejectsUnsubscribedProposal: a proposal for a topic outside
+// the profile's own subscriptions is non-canonical, which bounds what one
+// heartbeat can make a receiver store.
+func TestDecodeRejectsUnsubscribedProposal(t *testing.T) {
+	if _, _, _, err := Decode(unsubscribedProposalFrame()); !errors.Is(err, ErrCanonical) {
+		t.Errorf("err = %v, want ErrCanonical", err)
+	}
+}
+
+// unsubscribedProposalFrame is a profile subscribed to topic 10 that
+// proposes a gateway for topic 20. The frame is built by hand: no profile
+// the node can build encodes to it.
+func unsubscribedProposalFrame() []byte {
+	body := []byte{profileHasBody}
+	body = binary.BigEndian.AppendUint64(body, 42) // id
+	body = binary.BigEndian.AppendUint16(body, 1)  // one subscription
+	body = binary.BigEndian.AppendUint64(body, 10)
+	body = binary.BigEndian.AppendUint16(body, 1) // one proposal
+	body = binary.BigEndian.AppendUint64(body, 20)
+	body = binary.BigEndian.AppendUint64(body, 7) // gateway
+	body = binary.BigEndian.AppendUint64(body, 7) // parent
+	body = binary.BigEndian.AppendUint32(body, 0) // hops
+	frame := make([]byte, HeaderSize, HeaderSize+len(body))
+	frame[0], frame[1], frame[2], frame[3] = magic[0], magic[1], Version, TProfile
+	binary.BigEndian.PutUint64(frame[4:12], 1)
+	binary.BigEndian.PutUint64(frame[12:20], 2)
+	binary.BigEndian.PutUint32(frame[20:24], uint32(len(body)))
+	frame = append(frame, body...)
+	rechecksum(frame)
+	return frame
+}
+
+// TestAppendEncodeProfileZeroAlloc: profiles keep their proposals sorted,
+// so a heartbeat encodes into a warm batch buffer without a key slice or a
+// sort.
+func TestAppendEncodeProfileZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	var msg simnet.Message
+	for _, m := range Samples() {
+		if pm, ok := m.(core.ProfileMsg); ok && pm.Profile != nil && len(pm.Profile.Proposals) > 0 {
+			msg = pm
+		}
+	}
+	buf := make([]byte, 0, 4096)
+	allocs := testing.AllocsPerRun(1000, func() {
+		var err error
+		buf, err = AppendEncode(buf[:0], 7, 9, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendEncode(ProfileMsg) allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// TestDecodeTManBufferAllocs: all subscription lists of one T-Man buffer
+// share one backing array, so decoding costs four allocations whatever the
+// number of descriptors, instead of two per descriptor.
+func TestDecodeTManBufferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const n = 30
+	buf := make([]tman.Descriptor, n)
+	for i := range buf {
+		buf[i].ID = simnet.NodeID(i + 1)
+		if i%3 != 0 { // sampled peers travel without a payload
+			subs := core.SubsSummary{core.TopicID(i), core.TopicID(i + 100), core.TopicID(i + 200)}
+			buf[i].Payload = &subs
+		}
+	}
+	frame, err := Encode(1, 2, tman.Request{Buffer: buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The descriptors, their list headers, one backing array for every
+	// list, and the boxed message.
+	if allocs > 4 {
+		t.Errorf("Decode of a %d-descriptor T-Man buffer allocates %.1f times, want 4", n, allocs)
 	}
 }
