@@ -160,6 +160,7 @@ type summary struct {
 	GoroutinesFinal  int64   `json:"goroutines_total_at_drain"`
 	GoroutineGrowth  int64   `json:"goroutines_steady_growth"`
 	GoroutinesMax    int64   `json:"goroutines_max_per_node_at_drain"`
+	ProfileWants     uint64  `json:"profile_wants_steady_growth"`
 
 	DeliveryP50Sec float64  `json:"delivery_latency_p50_sec,omitempty"`
 	DeliveryP99Sec float64  `json:"delivery_latency_p99_sec,omitempty"`
@@ -767,6 +768,7 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 		s.BytesPerDelivery = float64(s.TxBytes) / float64(delivered)
 	}
 	s.GoroutineGrowth = int64(sumOf(steadyScrape, "vitis_go_goroutines")) - s.GoroutinesFinal
+	s.ProfileWants = uint64(sumOf(steadyScrape, "vitis_core_profile_wants_total") - sumOf(finalScrape, "vitis_core_profile_wants_total"))
 	s.goroutineBudget = int64(cfg.maxGoroutineGrowth)
 	if s.goroutineBudget == 0 {
 		s.goroutineBudget = int64(cfg.nodes)
@@ -813,6 +815,7 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 	fmt.Fprintf(out, "memory: peak RSS max %.1f MiB per node, %.1f MiB total; goroutines %d at join -> %d drained (at most %d per node), steady growth %d over %s (budget %d)\n",
 		float64(s.PeakRSSMax)/(1<<20), float64(s.PeakRSSTotal)/(1<<20),
 		s.GoroutinesJoined, s.GoroutinesFinal, s.GoroutinesMax, s.GoroutineGrowth, cfg.stableFor, s.goroutineBudget)
+	fmt.Fprintf(out, "quiet heartbeats: %d profile Wants over the same %s\n", s.ProfileWants, cfg.stableFor)
 
 	if cfg.benchOut != "" {
 		if err := writeBench(cfg, s); err != nil {
@@ -894,6 +897,7 @@ func writeBench(cfg clusterConfig, s *summary) error {
 	notes := []string{
 		"expected_deliveries = sum over topics of published(topic) x subscribers(topic); each topic has one dedicated publisher, itself a subscriber",
 		"goroutines_steady_growth compares vitis_go_goroutines totals across two post-drain scrapes one stable-for apart; a goroutine leaked per peer or per message grows here",
+		"profile_wants_steady_growth is the rise of vitis_core_profile_wants_total across the same two scrapes: one Want per new routing-table edge or lost full profile, far fewer than one per heartbeat",
 	}
 	if cfg.offlineFrac > 0 {
 		cmd += fmt.Sprintf(" -offline-frac %g", cfg.offlineFrac)

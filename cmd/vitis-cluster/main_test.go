@@ -139,6 +139,15 @@ func TestClusterSmoke(t *testing.T) {
 	if sum.TxDatagrams == 0 || sum.TxFrames < sum.TxDatagrams {
 		t.Fatalf("implausible wire counters: frames=%d datagrams=%d", sum.TxFrames, sum.TxDatagrams)
 	}
+	// Quiet heartbeats: a drained cluster sends its profiles as digests and
+	// Wants only for new routing-table edges or lost full profiles; three
+	// runs measured 0 over the window. A digest bug that bounced every
+	// beacon through a Want would add about 15 per node per round here
+	// while every delivery check still passed.
+	if sum.ProfileWants > uint64(cfg.nodes) {
+		t.Fatalf("%d profile Wants across the post-drain window, want at most one per node (%d)",
+			sum.ProfileWants, cfg.nodes)
+	}
 	// A healthy run must be silent: the OPERATIONS.md alert rules are tuned
 	// so steady-state gossip never trips them.
 	if len(sum.AlertsFired) != 0 {

@@ -244,13 +244,18 @@ func TestProposalRespectsHopThreshold(t *testing.T) {
 // profile body. From a routing-table member it must count as a sign of life
 // and not crash the node, neither in Algorithm 7 nor later in selection,
 // which falls back to stored profiles for descriptors without a payload.
+// It must not erase the stored profile either: gateway election skips
+// neighbours without one.
 func TestBodilessProfileFromNeighbor(t *testing.T) {
-	n, profs := profileFixture(t, 4)
+	n, profs := profileFixture(t, 4, false)
 	id := profs[0].ID
 	n.ages[id] = 3
 	n.handleProfile(id, ProfileMsg{})
 	if n.ages[id] != 0 {
 		t.Errorf("age = %d after a bodiless heartbeat, want 0", n.ages[id])
+	}
+	if stored, _ := n.KnownProfile(id); stored != profs[0] {
+		t.Errorf("stored profile %v after a bodiless heartbeat, want the earlier %v", stored, profs[0])
 	}
 	if subs := n.subsOf(tman.Descriptor{ID: id}); !slices.Equal(subs, profs[0].Subs) {
 		t.Errorf("subscriptions %v, want the gossip-learned %v", subs, profs[0].Subs)

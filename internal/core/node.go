@@ -48,6 +48,12 @@ type Node struct {
 	// actually changes.
 	profileCache    *Profile
 	hbMsg, replyMsg simnet.Message
+	// Quiet heartbeats (Params.Recovery only; see handleProfile): the
+	// snapshot's digest boxed once as a beacon and a beacon reply,
+	// snapshots counting rebuilds, and fullSent the snapshot the last full
+	// heartbeat round went out for.
+	beaconMsg, beaconReplyMsg simnet.Message
+	snapshots, fullSent       uint64
 
 	// Reusable scratch buffers for the per-message hot paths. Safe because
 	// a node is single-threaded and transports never deliver re-entrantly
@@ -69,6 +75,11 @@ type Node struct {
 	// Heartbeat bookkeeping (Algorithms 6–7).
 	ages     map[NodeID]int
 	profiles map[NodeID]*Profile
+	// With Recovery, digests holds the Digest of every stored profile and
+	// wantsAnswered the peers whose Want this heartbeat period has already
+	// answered; both are nil without it.
+	digests       map[NodeID]uint64
+	wantsAnswered map[NodeID]bool
 	// reverse holds expiry times for nodes that recently heartbeated us
 	// but are not in our routing table; together with the table they form
 	// the (symmetrized) cluster graph used by election and flooding.
@@ -174,6 +185,10 @@ func NewNode(net simnet.Net, id NodeID, params Params, hooks Hooks) *Node {
 	}
 	n.store = hooks.Store
 	n.rng = net.Engine().DeriveRNG(int64(id))
+	if p.Recovery {
+		n.digests = make(map[NodeID]uint64)
+		n.wantsAnswered = make(map[NodeID]bool)
+	}
 	return n
 }
 
@@ -345,8 +360,16 @@ func (n *Node) heartbeat() {
 	n.expireState(now)
 
 	// One boxed message serves every heartbeat of the round (and of every
-	// later round until the profile changes).
-	hb := n.profileMsg(false)
+	// later round until the profile changes). Quiet heartbeats send it in
+	// full only in the first round after a rebuild, the beacon otherwise.
+	n.buildProfile()
+	beacon := false
+	if n.params.Recovery {
+		beacon = n.fullSent == n.snapshots
+		n.fullSent = n.snapshots
+		clear(n.wantsAnswered)
+	}
+	hb := n.profileMsg(false, beacon)
 	// Snapshot the table ids into scratch: eviction below mutates the
 	// exchanger's table while we iterate.
 	rt := n.hbIDs[:0]
@@ -359,7 +382,7 @@ func (n *Node) heartbeat() {
 		if n.ages[id] > n.params.StaleAge {
 			n.xchg.Remove(id)
 			delete(n.ages, id)
-			delete(n.profiles, id)
+			n.dropProfile(id)
 			// Tombstone: the dead descriptor will keep arriving in
 			// gossip buffers for a while; refuse to re-select it.
 			n.suspects[id] = now + 3*simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
@@ -445,8 +468,19 @@ func (n *Node) updateGauges(now simnet.Time) {
 // wide safety margin.
 const seenRotateRounds = 30
 
+// wantMsg asks a peer for its full profile; boxed once for every sender.
+var wantMsg simnet.Message = ProfileMsg{Want: true}
+
 // handleProfile is Algorithm 7 plus the reactive reply that makes liveness
-// detection symmetric for one-directional routing-table edges.
+// detection symmetric for one-directional routing-table edges. Every
+// profile message, whatever it carries, counts as a sign of life; only a
+// body replaces the stored profile.
+//
+// With Recovery the heartbeat is quiet. The reply goes only to senders
+// outside our routing table — a table member hears our own heartbeat this
+// round anyway — and carries the digest beacon. A beacon whose digest does
+// not match the stored profile (or finds none) is answered with a Want, and
+// a Want with the full profile, at most once per peer per heartbeat period.
 func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 	n.tel.Profiles.Inc()
 	delete(n.suspects, from) // it speaks, so it lives
@@ -462,22 +496,50 @@ func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 	}
 	// A profile equal to the stored one keeps the stored pointer: the
 	// routing-table payload and earlier descriptors already point into it,
-	// and the fresh copy dies young.
-	p := m.Profile
-	if old := n.profiles[from]; old.Equal(p) {
-		p = old
+	// and the fresh copy dies young. A message without a body keeps it too.
+	want := false
+	if p := m.Profile; p != nil {
+		if !n.profiles[from].Equal(p) {
+			n.profiles[from] = p
+			if n.params.Recovery {
+				n.digests[from] = p.Digest()
+			}
+		}
+	} else if m.Digest != 0 && n.params.Recovery {
+		want = n.digests[from] != m.Digest
 	}
-	n.profiles[from] = p
 	n.reverse[from] = n.eng.Now() + simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
-	if n.xchg.Contains(from) {
+	inTable := n.xchg.Contains(from)
+	if inTable {
 		n.ages[from] = 0
-		if p != nil {
+		if p := n.profiles[from]; p != nil {
 			n.xchg.UpdatePayload(from, p.Summary())
 		}
 	}
-	if !m.Reply {
-		n.net.Send(n.id, from, n.profileMsg(true))
+	if want {
+		n.tel.ProfileWants.Inc()
+		n.net.Send(n.id, from, wantMsg)
 	}
+	switch {
+	case !n.params.Recovery:
+		if !m.Reply {
+			n.net.Send(n.id, from, n.profileMsg(true, false))
+		}
+	case m.Want:
+		if !n.wantsAnswered[from] {
+			n.wantsAnswered[from] = true
+			n.net.Send(n.id, from, n.profileMsg(true, false))
+		}
+	case !m.Reply && !inTable:
+		n.net.Send(n.id, from, n.profileMsg(true, true))
+	}
+}
+
+// dropProfile forgets the stored profile of a peer that left both the
+// routing table and the reverse neighbours.
+func (n *Node) dropProfile(id NodeID) {
+	delete(n.profiles, id)
+	delete(n.digests, id)
 }
 
 // buildProfile returns the node's profile snapshot, rebuilding it only after
@@ -501,13 +563,25 @@ func (n *Node) buildProfile() *Profile {
 	n.profileCache = p
 	n.hbMsg = ProfileMsg{Profile: p}
 	n.replyMsg = ProfileMsg{Profile: p, Reply: true}
+	if n.params.Recovery {
+		n.snapshots++
+		d := p.Digest()
+		n.beaconMsg = ProfileMsg{Digest: d}
+		n.beaconReplyMsg = ProfileMsg{Digest: d, Reply: true}
+	}
 	return p
 }
 
-// profileMsg returns the current snapshot as a boxed heartbeat or reply.
-func (n *Node) profileMsg(reply bool) simnet.Message {
+// profileMsg returns the current snapshot boxed as a heartbeat or a reply,
+// in full or as its digest beacon (Recovery only).
+func (n *Node) profileMsg(reply, beacon bool) simnet.Message {
 	n.buildProfile()
-	if reply {
+	switch {
+	case beacon && reply:
+		return n.beaconReplyMsg
+	case beacon:
+		return n.beaconMsg
+	case reply:
 		return n.replyMsg
 	}
 	return n.hbMsg
@@ -626,7 +700,7 @@ func (n *Node) expireState(now simnet.Time) {
 		if exp <= now {
 			delete(n.reverse, id)
 			if !n.xchg.Contains(id) {
-				delete(n.profiles, id)
+				n.dropProfile(id)
 			}
 		}
 	}

@@ -72,10 +72,13 @@ type Params struct {
 	// PullMaxAttempts bounds how many times one pull's PullReq is sent in
 	// total before the pull is abandoned.
 	PullMaxAttempts int
-	// Recovery enables the failure-recovery extensions beyond the paper's
-	// baseline self-healing (§III-D): immediate relay-path repair when a
-	// relay parent is evicted, replay of recently seen events to peers
-	// returning from suspicion or isolation, and Rejoin support. Off by
+	// Recovery enables the extensions a real deployment runs beyond the
+	// paper's protocol. Failure recovery beyond the baseline self-healing
+	// (§III-D): immediate relay-path repair when a relay parent is
+	// evicted, replay of recently seen events to peers returning from
+	// suspicion or isolation, and Rejoin support. Quiet heartbeats
+	// (handleProfile): reactive replies only to peers outside the routing
+	// table, and a digest beacon instead of an unchanged profile. Off by
 	// default so simulated experiment tables stay byte-identical to the
 	// plain protocol; real deployments (cmd/vitis-node) switch it on.
 	Recovery bool

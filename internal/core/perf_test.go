@@ -188,13 +188,14 @@ func BenchmarkForwardData(b *testing.B) {
 
 // profileFixture is a node subscribed to four topics whose routing table
 // holds nbrs neighbours, each with a stored profile proposing itself as
-// gateway for one of those topics. Sends are dropped at the network, so
-// calling handlers directly exercises only the node.
-func profileFixture(tb testing.TB, nbrs int) (*Node, []*Profile) {
+// gateway for one of those topics; recovery switches Params.Recovery (and
+// with it quiet heartbeats). Sends are dropped at the network, so calling
+// handlers directly exercises only the node.
+func profileFixture(tb testing.TB, nbrs int, recovery bool) (*Node, []*Profile) {
 	tb.Helper()
 	eng := simnet.NewEngine(1)
 	net := simnet.NewNetwork(eng, simnet.ConstantLatency(simnet.Lost))
-	n := NewNode(net, 1<<40, Params{RTSize: 15, SWLinks: 1, NetworkSizeEstimate: 1024}, Hooks{})
+	n := NewNode(net, 1<<40, Params{RTSize: 15, SWLinks: 1, NetworkSizeEstimate: 1024, Recovery: recovery}, Hooks{})
 	n.Join(nil)
 	topics := perfTopics(4)
 	for _, tp := range topics {
@@ -227,7 +228,7 @@ func TestHandleProfileUnchangedAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	n, profs := profileFixture(t, 15)
+	n, profs := profileFixture(t, 15, false)
 	p := profs[0]
 	copyOf := &Profile{ID: p.ID, Subs: slices.Clone(p.Subs), Proposals: slices.Clone(p.Proposals)}
 	msg := ProfileMsg{Profile: copyOf}
@@ -245,6 +246,24 @@ func TestHandleProfileUnchangedAllocFree(t *testing.T) {
 	}
 }
 
+// TestHandleMatchingBeaconAllocFree: under quiet heartbeats the steady
+// state is a beacon whose digest matches the stored profile. Handling it
+// compares two integers, keeps the stored pointer and sends nothing.
+func TestHandleMatchingBeaconAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	n, profs := profileFixture(t, 15, true)
+	p := profs[0]
+	msg := ProfileMsg{Digest: p.Digest()}
+	if avg := testing.AllocsPerRun(100, func() { n.handleProfile(p.ID, msg) }); avg != 0 {
+		t.Errorf("handleProfile of a matching beacon allocates %.2f objects, want 0", avg)
+	}
+	if stored, _ := n.KnownProfile(p.ID); stored != p {
+		t.Error("a matching beacon replaced the stored pointer")
+	}
+}
+
 // TestHeartbeatAllocBound pins one warm heartbeat of a 15-neighbour node to
 // a small constant: while nothing changed, the profile snapshot and its
 // boxed heartbeat are reused for every neighbour and every round.
@@ -252,7 +271,7 @@ func TestHeartbeatAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	n, profs := profileFixture(t, 15)
+	n, profs := profileFixture(t, 15, false)
 	run := func() {
 		for _, p := range profs {
 			n.ages[p.ID] = 0 // they answered: keep the table intact

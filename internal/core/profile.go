@@ -78,14 +78,58 @@ func (p *Profile) Equal(q *Profile) bool {
 // costs no allocation.
 func (p *Profile) Summary() *SubsSummary { return (*SubsSummary)(&p.Subs) }
 
+// Digest is the 64-bit FNV-1a hash of the profile's content — ID, Subs and
+// Proposals, each list prefixed by its length — that a quiet heartbeat
+// carries in place of the profile itself. It is never 0: the wire reserves
+// 0 for "no digest".
+func (p *Profile) Digest() uint64 {
+	h := fnvMix(fnvOffset64, uint64(p.ID))
+	h = fnvMix(h, uint64(len(p.Subs)))
+	for _, t := range p.Subs {
+		h = fnvMix(h, uint64(t))
+	}
+	h = fnvMix(h, uint64(len(p.Proposals)))
+	for _, e := range p.Proposals {
+		h = fnvMix(h, uint64(e.Topic))
+		h = fnvMix(h, uint64(e.Proposal.GW))
+		h = fnvMix(h, uint64(e.Proposal.Parent))
+		h = fnvMix(h, uint64(e.Proposal.Hops))
+	}
+	if h == 0 {
+		return 1
+	}
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvMix folds the eight bytes of v, least significant first, into the
+// FNV-1a state h.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
 // Wire messages of the Vitis protocol (beyond the sampling and T-Man
 // layers).
 type (
 	// ProfileMsg is the heartbeat of Algorithms 6–7. Reply distinguishes
-	// the reactive response so the exchange terminates.
+	// the reactive response so the exchange terminates. Under quiet
+	// heartbeats (Params.Recovery) most messages carry no Profile: a
+	// beacon carries the Digest of the sender's current profile instead,
+	// and Want asks the receiver for its full profile (see handleProfile).
 	ProfileMsg struct {
 		Profile *Profile
+		Digest  uint64 // 0 = none; never set together with Profile
 		Reply   bool
+		Want    bool
 	}
 
 	// RelayMsg constructs and refreshes a relay path: it is forwarded

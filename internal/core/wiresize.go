@@ -7,12 +7,16 @@ package core
 // bytes; an EventID is 16; a Proposal entry is topic(8)+gw(8)+parent(8)+
 // hops(4); list fields carry a 2-byte count, payloads a 4-byte length.
 
-// WireSize implements simnet.Sized.
+// WireSize implements simnet.Sized: flags(1), then the digest or the
+// profile body.
 func (m ProfileMsg) WireSize() int {
-	if m.Profile == nil {
-		return 1
+	switch {
+	case m.Profile != nil:
+		return 1 + 8 + 2 + 8*len(m.Profile.Subs) + 2 + 28*len(m.Profile.Proposals)
+	case m.Digest != 0:
+		return 1 + 8
 	}
-	return 1 + 8 + 2 + 8*len(m.Profile.Subs) + 2 + 28*len(m.Profile.Proposals)
+	return 1
 }
 
 // WireSize implements simnet.Sized.

@@ -27,7 +27,7 @@ type trafficBreakdown struct {
 func (b *trafficBreakdown) OnSend(from, to simnet.NodeID, msg simnet.Message) {
 	b.bytes += uint64(simnet.WireSizeOf(msg))
 	switch msg.(type) {
-	case sampling.Request, sampling.Reply, sampling.ShuffleRequest, sampling.ShuffleReply:
+	case sampling.Request, sampling.Reply:
 		b.sampling++
 	case tman.Request, tman.Reply:
 		b.tman++

@@ -47,6 +47,7 @@ type NodeMetrics struct {
 	// Heartbeats and membership (Alg. 6–7).
 	Heartbeats       *Counter // profile messages sent
 	Profiles         *Counter // profile messages received
+	ProfileWants     *Counter // full profiles asked for after a digest miss (quiet heartbeats)
 	NeighborsEvicted *Counter // routing-table entries dropped by missed heartbeats
 	RoutingTableSize *Gauge
 	ReverseNeighbors *Gauge
@@ -121,6 +122,7 @@ func NewNodeMetrics(r *Registry) *NodeMetrics {
 		RelayTopics:        r.Gauge("vitis_core_relay_topics", "Topics with live relay soft state."),
 		Heartbeats:         r.Counter("vitis_core_heartbeats_total", "Profile heartbeats sent."),
 		Profiles:           r.Counter("vitis_core_profiles_total", "Profile heartbeats received."),
+		ProfileWants:       r.Counter("vitis_core_profile_wants_total", "Full profiles asked for because a heartbeat digest missed the stored profile."),
 		NeighborsEvicted:   r.Counter("vitis_core_neighbors_evicted_total", "Routing-table neighbors evicted after missed heartbeats."),
 		RoutingTableSize:   r.Gauge("vitis_core_routing_table_size", "Current routing-table entries."),
 		ReverseNeighbors:   r.Gauge("vitis_core_reverse_neighbors", "Fresh reverse (one-directional) neighbors."),

@@ -1079,10 +1079,6 @@ func appendMentionedIDs(dst []simnet.NodeID, msg simnet.Message) []simnet.NodeID
 		return appendSamplingIDs(dst, m.View)
 	case sampling.Reply:
 		return appendSamplingIDs(dst, m.View)
-	case sampling.ShuffleRequest:
-		return appendSamplingIDs(dst, m.Subset)
-	case sampling.ShuffleReply:
-		return appendSamplingIDs(dst, m.Subset)
 	case tman.Request:
 		return appendTManIDs(dst, m.Buffer)
 	case tman.Reply:

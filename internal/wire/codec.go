@@ -23,10 +23,6 @@ func encodeBody(w *writer, msg simnet.Message) (byte, error) {
 		return TSamplingRequest, encodeSamplingView(w, m.View)
 	case sampling.Reply:
 		return TSamplingReply, encodeSamplingView(w, m.View)
-	case sampling.ShuffleRequest:
-		return TShuffleRequest, encodeSamplingView(w, m.Subset)
-	case sampling.ShuffleReply:
-		return TShuffleReply, encodeSamplingView(w, m.Subset)
 	case tman.Request:
 		return TTManRequest, encodeTManBuffer(w, m.Buffer)
 	case tman.Reply:
@@ -126,10 +122,6 @@ func decodeBody(typ byte, r *reader) (simnet.Message, error) {
 		return sampling.Request{View: decodeSamplingView(r)}, r.err
 	case TSamplingReply:
 		return sampling.Reply{View: decodeSamplingView(r)}, r.err
-	case TShuffleRequest:
-		return sampling.ShuffleRequest{Subset: decodeSamplingView(r)}, r.err
-	case TShuffleReply:
-		return sampling.ShuffleReply{Subset: decodeSamplingView(r)}, r.err
 	case TTManRequest:
 		return tman.Request{Buffer: decodeTManBuffer(r)}, r.err
 	case TTManReply:
@@ -398,10 +390,14 @@ func decodeTopicListInto(r *reader, backing []core.TopicID) (list, rest []core.T
 
 // --- core.ProfileMsg ---
 
-// Profile flag bits.
+// Profile flag bits. A body and a digest exclude each other; a digest is
+// never 0. Bits 2 and 3 came with quiet heartbeats: a decoder that predates
+// them rejects such frames as non-canonical instead of misreading them.
 const (
-	profileHasBody byte = 1 << 0
-	profileReply   byte = 1 << 1
+	profileHasBody   byte = 1 << 0
+	profileReply     byte = 1 << 1
+	profileHasDigest byte = 1 << 2 // followed by the u64 digest
+	profileWant      byte = 1 << 3
 )
 
 func encodeProfile(w *writer, m core.ProfileMsg) error {
@@ -412,7 +408,19 @@ func encodeProfile(w *writer, m core.ProfileMsg) error {
 	if m.Reply {
 		flags |= profileReply
 	}
+	if m.Digest != 0 {
+		if m.Profile != nil {
+			return fmt.Errorf("%w: profile with both a body and a digest", ErrCanonical)
+		}
+		flags |= profileHasDigest
+	}
+	if m.Want {
+		flags |= profileWant
+	}
 	w.u8(flags)
+	if m.Digest != 0 {
+		w.u64(m.Digest)
+	}
 	if m.Profile == nil {
 		return nil
 	}
@@ -443,10 +451,16 @@ func encodeProfile(w *writer, m core.ProfileMsg) error {
 // a receiver store is bounded by the sender's subscription list.
 func decodeProfile(r *reader) (simnet.Message, error) {
 	flags := r.u8()
-	if r.err == nil && flags&^(profileHasBody|profileReply) != 0 {
+	if r.err == nil && (flags&^(profileHasBody|profileReply|profileHasDigest|profileWant) != 0 ||
+		flags&(profileHasBody|profileHasDigest) == profileHasBody|profileHasDigest) {
 		r.fail(ErrCanonical)
 	}
-	m := core.ProfileMsg{Reply: flags&profileReply != 0}
+	m := core.ProfileMsg{Reply: flags&profileReply != 0, Want: flags&profileWant != 0}
+	if flags&profileHasDigest != 0 {
+		if m.Digest = r.u64(); m.Digest == 0 {
+			r.fail(ErrCanonical)
+		}
+	}
 	if r.err != nil || flags&profileHasBody == 0 {
 		return m, r.err
 	}
@@ -500,8 +514,6 @@ func Samples() []simnet.Message {
 		sampling.Request{},
 		sampling.Request{View: view},
 		sampling.Reply{View: view},
-		sampling.ShuffleRequest{Subset: view},
-		sampling.ShuffleReply{Subset: view},
 		tman.Request{},
 		tman.Request{Buffer: buf},
 		tman.Reply{Buffer: buf},
@@ -526,5 +538,8 @@ func Samples() []simnet.Message {
 			{Event: core.EventID{Publisher: 42, Seq: 8}, Hops: 5, Time: 5000, HasData: true},
 			{Event: core.EventID{Publisher: 43, Seq: 1}, Hops: 1, Time: 777777, HasData: true, Payload: []byte("caught-up payload")},
 		}},
+		core.ProfileMsg{Digest: profile.Digest()},
+		core.ProfileMsg{Digest: profile.Digest(), Reply: true},
+		core.ProfileMsg{Want: true},
 	}
 }

@@ -22,6 +22,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'V', 'w', Version, TProfile})
 	f.Add(unsubscribedProposalFrame())
+	f.Add(digestAndBodyFrame())
+	f.Add(zeroDigestFrame())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		from, to, msg, err := Decode(data)

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"vitis/internal/simnet"
 )
@@ -54,12 +55,11 @@ const (
 var magic = [2]byte{'V', 'w'}
 
 // Message type registry. Values are part of the wire format; never reuse
-// or renumber them — add new types at the end.
+// or renumber them — add new types at the end. 3 and 4 belonged to a
+// retired peer sampler: they stay reserved and decode as ErrUnknownType.
 const (
 	TSamplingRequest byte = 1  // sampling.Request
 	TSamplingReply   byte = 2  // sampling.Reply
-	TShuffleRequest  byte = 3  // sampling.ShuffleRequest
-	TShuffleReply    byte = 4  // sampling.ShuffleReply
 	TTManRequest     byte = 5  // tman.Request
 	TTManReply       byte = 6  // tman.Reply
 	TJoinReq         byte = 7  // bootstrap.JoinReq
@@ -95,8 +95,6 @@ var (
 var typeNames = map[byte]string{
 	TSamplingRequest: "sampling.Request",
 	TSamplingReply:   "sampling.Reply",
-	TShuffleRequest:  "sampling.ShuffleRequest",
-	TShuffleReply:    "sampling.ShuffleReply",
 	TTManRequest:     "tman.Request",
 	TTManReply:       "tman.Reply",
 	TJoinReq:         "bootstrap.JoinReq",
@@ -124,9 +122,10 @@ func TypeName(t byte) string {
 // Types returns every registered message-type byte in ascending order.
 func Types() []byte {
 	out := make([]byte, 0, len(typeNames))
-	for t := byte(1); int(t) <= len(typeNames); t++ {
+	for t := range typeNames {
 		out = append(out, t)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -195,11 +195,13 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 
-	// Unknown type byte.
-	bad := append([]byte(nil), good...)
-	bad[3] = 200
-	if _, _, _, err := Decode(bad); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("unknown type: err = %v", err)
+	// Unknown type bytes, including the reserved 3 and 4.
+	for _, typ := range []byte{3, 4, 200} {
+		bad := append([]byte(nil), good...)
+		bad[3] = typ
+		if _, _, _, err := Decode(bad); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("type %d: err = %v, want ErrUnknownType", typ, err)
+		}
 	}
 
 	// Non-canonical: unsorted proposal topics would re-encode differently,
@@ -388,8 +390,13 @@ func unsubscribedProposalFrame() []byte {
 	body = binary.BigEndian.AppendUint64(body, 7) // gateway
 	body = binary.BigEndian.AppendUint64(body, 7) // parent
 	body = binary.BigEndian.AppendUint32(body, 0) // hops
+	return rawFrame(TProfile, body)
+}
+
+// rawFrame wraps a hand-built body in a valid header, from 1 to 2.
+func rawFrame(typ byte, body []byte) []byte {
 	frame := make([]byte, HeaderSize, HeaderSize+len(body))
-	frame[0], frame[1], frame[2], frame[3] = magic[0], magic[1], Version, TProfile
+	frame[0], frame[1], frame[2], frame[3] = magic[0], magic[1], Version, typ
 	binary.BigEndian.PutUint64(frame[4:12], 1)
 	binary.BigEndian.PutUint64(frame[12:20], 2)
 	binary.BigEndian.PutUint32(frame[20:24], uint32(len(body)))
@@ -398,29 +405,66 @@ func unsubscribedProposalFrame() []byte {
 	return frame
 }
 
+// digestAndBodyFrame is a profile message carrying both a digest and a
+// body, which no encoder emits.
+func digestAndBodyFrame() []byte {
+	body := []byte{profileHasBody | profileHasDigest}
+	body = binary.BigEndian.AppendUint64(body, 0xfeed) // digest
+	body = binary.BigEndian.AppendUint64(body, 42)     // id
+	body = binary.BigEndian.AppendUint16(body, 0)      // no subscriptions
+	body = binary.BigEndian.AppendUint16(body, 0)      // no proposals
+	return rawFrame(TProfile, body)
+}
+
+// zeroDigestFrame is a beacon whose digest is the reserved 0.
+func zeroDigestFrame() []byte {
+	return rawFrame(TProfile, binary.BigEndian.AppendUint64([]byte{profileHasDigest}, 0))
+}
+
+// TestDecodeRejectsNonCanonicalBeacons: a digest rides only on a body-less
+// profile message and is never 0, and unknown flag bits stay errors — the
+// same rule that makes a decoder without the digest bits reject beacons
+// loudly instead of misreading them.
+func TestDecodeRejectsNonCanonicalBeacons(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"body and digest": digestAndBodyFrame(),
+		"zero digest":     zeroDigestFrame(),
+		"unknown bit":     rawFrame(TProfile, []byte{1 << 4}),
+	} {
+		if _, _, _, err := Decode(frame); !errors.Is(err, ErrCanonical) {
+			t.Errorf("%s: err = %v, want ErrCanonical", name, err)
+		}
+	}
+	_, err := Encode(1, 2, core.ProfileMsg{Profile: &core.Profile{ID: 1}, Digest: 5})
+	if !errors.Is(err, ErrCanonical) {
+		t.Errorf("encoding a body and a digest: err = %v, want ErrCanonical", err)
+	}
+}
+
 // TestAppendEncodeProfileZeroAlloc: profiles keep their proposals sorted,
-// so a heartbeat encodes into a warm batch buffer without a key slice or a
-// sort.
+// so a heartbeat — full, beacon or want — encodes into a warm batch buffer
+// without a key slice or a sort.
 func TestAppendEncodeProfileZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	var msg simnet.Message
-	for _, m := range Samples() {
-		if pm, ok := m.(core.ProfileMsg); ok && pm.Profile != nil && len(pm.Profile.Proposals) > 0 {
-			msg = pm
-		}
-	}
 	buf := make([]byte, 0, 4096)
-	allocs := testing.AllocsPerRun(1000, func() {
-		var err error
-		buf, err = AppendEncode(buf[:0], 7, 9, msg)
-		if err != nil {
-			t.Fatal(err)
+	for _, m := range Samples() {
+		pm, ok := m.(core.ProfileMsg)
+		if !ok {
+			continue
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("AppendEncode(ProfileMsg) allocates %.1f times per frame, want 0", allocs)
+		var msg simnet.Message = pm // boxed once, as the node does
+		allocs := testing.AllocsPerRun(1000, func() {
+			var err error
+			buf, err = AppendEncode(buf[:0], 7, 9, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("AppendEncode(%+v) allocates %.1f times per frame, want 0", pm, allocs)
+		}
 	}
 }
 
