@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"vitis/internal/telemetry"
 	"vitis/internal/telemetry/alerts"
 )
 
@@ -27,7 +28,10 @@ func fixtureMonitor(t *testing.T) *monitor {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := parseMetrics(string(body))
+		m, err := telemetry.ParseText(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Two nodes reporting identical samples: aggregation doubles them.
 		mon.observe(int64(i)*1000, []map[string]float64{m, m})
 	}
@@ -99,25 +103,6 @@ func TestDashHTMLServes(t *testing.T) {
 		if !strings.Contains(string(body), frag) {
 			t.Errorf("HTML page missing %q", frag)
 		}
-	}
-}
-
-// TestParseMetricsKeepsLabeledSamples pins the scrape()-path fix: histogram
-// bucket samples carry a {le=...} label and must survive parsing under their
-// full name instead of being dropped.
-func TestParseMetricsKeepsLabeledSamples(t *testing.T) {
-	body := "# TYPE h histogram\n" +
-		"h_bucket{le=\"0.5\"} 3\n" +
-		"h_bucket{le=\"+Inf\"} 7\n" +
-		"h_sum 2.5\n" +
-		"h_count 7\n" +
-		"plain_total 11\n"
-	m := parseMetrics(body)
-	if m[`h_bucket{le="0.5"}`] != 3 || m[`h_bucket{le="+Inf"}`] != 7 {
-		t.Fatalf("labeled samples dropped: %v", m)
-	}
-	if m["h_sum"] != 2.5 || m["plain_total"] != 11 {
-		t.Fatalf("plain samples mangled: %v", m)
 	}
 }
 

@@ -48,6 +48,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"vitis/internal/telemetry"
 	"vitis/internal/workload"
 )
 
@@ -265,42 +266,22 @@ func (p *nodeProc) terminate() {
 	}
 }
 
-// scrape GETs one node's /metrics and parses it.
+// scrape GETs one node's /metrics and parses it; a malformed exposition is
+// an error, not a silently missing sample.
 func scrape(client *http.Client, addr string) (map[string]float64, error) {
 	resp, err := client.Get("http://" + addr + "/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/metrics on %s returned %d", addr, resp.StatusCode)
 	}
-	return parseMetrics(string(body)), nil
-}
-
-// parseMetrics parses a Prometheus text exposition body. Labeled samples are
-// kept under their full name (`h_bucket{le="0.5"}`) — exactly the keying the
-// collector's histogram reconstruction expects — so histogram buckets
-// survive the trip instead of being silently dropped.
-func parseMetrics(body string) map[string]float64 {
-	out := make(map[string]float64)
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		if f, err := strconv.ParseFloat(val, 64); err == nil {
-			out[name] = f
-		}
+	m, err := telemetry.ParseText(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("/metrics on %s: %w", addr, err)
 	}
-	return out
+	return m, nil
 }
 
 // plan is the workload assignment: who subscribes to what, who publishes
@@ -916,14 +897,4 @@ func writeBench(cfg clusterConfig, s *summary) error {
 		return err
 	}
 	return os.WriteFile(cfg.benchOut, append(b, '\n'), 0o644)
-}
-
-// sortedKeys is kept for debugging dumps of raw scrapes.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -9,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -110,8 +110,8 @@ func buildNode(t *testing.T) string {
 	return bin
 }
 
-// scrapeMetrics GETs the node's /metrics endpoint and parses the plain
-// (non-histogram-bucket) samples into a name → value map.
+// scrapeMetrics GETs the node's /metrics endpoint and parses every sample
+// into a name → value map; a malformed exposition fails the test.
 func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics")
@@ -126,20 +126,9 @@ func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics returned %d:\n%s", resp.StatusCode, body)
 	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(body), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			t.Fatalf("malformed value in %q: %v", line, err)
-		}
-		out[name] = f
+	out, err := telemetry.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
@@ -94,21 +93,14 @@ func scrapeLatency(addr string) (map[string]float64, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	all, err := telemetry.ParseText(resp.Body)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]float64)
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, "vitis_core_delivery_latency_seconds") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		if f, err := strconv.ParseFloat(val, 64); err == nil {
-			out[name] = f
+	for name, v := range all {
+		if strings.HasPrefix(name, "vitis_core_delivery_latency_seconds") {
+			out[name] = v
 		}
 	}
 	return out, nil

@@ -324,10 +324,10 @@ func (n *Node) hasUntriedInterested(t TopicID, st *catchUpState) bool {
 // Catch-up is a local backfill; peers run their own.
 func (n *Node) acceptCatchUpEvent(from NodeID, t TopicID, e CatchUpEvent) {
 	ev := e.Event
-	if n.seen.has(ev) || (n.params.Recovery && n.inRecent(t, ev)) {
+	if n.seen.Has(ev) || (n.params.Recovery && n.inRecent(t, ev)) {
 		return
 	}
-	n.seen.add(ev)
+	n.seen.Add(ev)
 	if n.params.Recovery {
 		n.recordRecent(t, ev, e.Hops, e.Time, e.HasData)
 	}

@@ -1,36 +1,10 @@
 package core
 
 import (
-	"slices"
-
+	"vitis/internal/ring"
 	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
 )
-
-// seenSet deduplicates events with bounded memory: membership is checked
-// against two generations and inserts go to the current one; rotation drops
-// the older generation. An event older than two rotation periods can in
-// principle be re-accepted, but notifications only live for the duration of
-// a dissemination (seconds), far below the rotation period.
-type seenSet struct {
-	cur, prev map[EventID]bool
-}
-
-func newSeenSet() *seenSet {
-	return &seenSet{cur: make(map[EventID]bool), prev: make(map[EventID]bool)}
-}
-
-func (s *seenSet) has(ev EventID) bool { return s.cur[ev] || s.prev[ev] }
-
-func (s *seenSet) add(ev EventID) { s.cur[ev] = true }
-
-// rotate discards the older generation.
-func (s *seenSet) rotate() {
-	s.prev = s.cur
-	s.cur = make(map[EventID]bool)
-}
-
-func (s *seenSet) len() int { return len(s.cur) + len(s.prev) }
 
 // Publish creates a new metadata-only event on topic t and starts its
 // dissemination (§III-C): the notification floods inside the publisher's
@@ -42,7 +16,7 @@ func (n *Node) Publish(t TopicID) EventID {
 	ev := EventID{Publisher: n.id, Seq: n.pubSeq}
 	n.pubSeq++
 	pubTime := n.now()
-	n.seen.add(ev)
+	n.seen.Add(ev)
 	n.tel.Published.Inc()
 	if n.params.Recovery {
 		n.recordRecent(t, ev, 0, pubTime, false)
@@ -78,7 +52,7 @@ func (n *Node) handleNotification(from NodeID, m Notification) {
 	if n.hooks.OnNotification != nil {
 		n.hooks.OnNotification(n.id, m.Topic, interested)
 	}
-	dup := n.seen.has(m.Event)
+	dup := n.seen.Has(m.Event)
 	if !dup && n.params.Recovery && n.inRecent(m.Topic, m.Event) {
 		// Replayed events can outlive the seen-set generations; the replay
 		// ring is the long-memory dedup that keeps resurrected history
@@ -94,7 +68,7 @@ func (n *Node) handleNotification(from NodeID, m Notification) {
 		n.tel.Duplicates.Inc()
 		return
 	}
-	n.seen.add(m.Event)
+	n.seen.Add(m.Event)
 	if n.params.Recovery && interested {
 		n.recordRecent(m.Topic, m.Event, m.Hops, m.PubTime, m.HasData)
 	}
@@ -164,23 +138,9 @@ func (n *Node) forwardData(t TopicID, ev EventID, hops int, pubTime int64, exclu
 		}
 	}
 	if rs, ok := n.relays[t]; ok {
-		now := n.eng.Now()
-		if parent, ok := rs.freshParent(now); ok {
-			ids = append(ids, parent)
-		}
-		ids = append(ids, rs.freshChildren(now)...)
+		ids = rs.AppendLinks(ids, n.eng.Now())
 	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	w := 0
-	for _, id := range ids {
-		if id == exclude || id == n.id {
-			continue
-		}
-		ids[w] = id
-		w++
-	}
-	ids = ids[:w]
+	ids = ring.Fanout(ids, exclude, n.id)
 	n.fwdTargets = ids
 	n.tel.Forwards.Add(uint64(len(ids)))
 	// Box the notification once: the same value goes to every target, so
@@ -197,4 +157,4 @@ func (n *Node) forwardData(t TopicID, ev EventID, hops int, pubTime int64, exclu
 
 // Seen reports whether the node has already received (or published) ev —
 // exposed for tests and the hit-ratio collector.
-func (n *Node) Seen(ev EventID) bool { return n.seen.has(ev) }
+func (n *Node) Seen(ev EventID) bool { return n.seen.Has(ev) }

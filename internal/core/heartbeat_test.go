@@ -56,8 +56,8 @@ func TestProfileReplyResetsAge(t *testing.T) {
 	peer := NewNode(net, 200, Params{}, Hooks{})
 	peer.Join([]NodeID{100})
 	eng.RunUntil(10 * simnet.Second)
-	if n.ages[200] > 1 {
-		t.Errorf("age of live neighbor is %d; replies should keep it near 0", n.ages[200])
+	if age := n.live.Age(200); age > 1 {
+		t.Errorf("age of live neighbor is %d; replies should keep it near 0", age)
 	}
 }
 
@@ -249,10 +249,15 @@ func TestProposalRespectsHopThreshold(t *testing.T) {
 func TestBodilessProfileFromNeighbor(t *testing.T) {
 	n, profs := profileFixture(t, 4, false)
 	id := profs[0].ID
-	n.ages[id] = 3
+	for i := 0; i < 3; i++ {
+		n.heartbeat() // unanswered: sends are dropped
+	}
+	if n.live.Age(id) != 3 {
+		t.Fatalf("age = %d after three unanswered heartbeats, want 3", n.live.Age(id))
+	}
 	n.handleProfile(id, ProfileMsg{})
-	if n.ages[id] != 0 {
-		t.Errorf("age = %d after a bodiless heartbeat, want 0", n.ages[id])
+	if age := n.live.Age(id); age != 0 {
+		t.Errorf("age = %d after a bodiless heartbeat, want 0", age)
 	}
 	if stored, _ := n.KnownProfile(id); stored != profs[0] {
 		t.Errorf("stored profile %v after a bodiless heartbeat, want the earlier %v", stored, profs[0])

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"vitis/internal/idspace"
+	"vitis/internal/ring"
 	"vitis/internal/sampling"
 	"vitis/internal/simnet"
 	"vitis/internal/store"
@@ -63,7 +64,6 @@ type Node struct {
 	fwdNbrs    []NodeID
 	fwdTargets []NodeID
 	propNbrs   []NodeID
-	hbIDs      []NodeID
 
 	// Physical-topology extension of the preference function (§III-A2).
 	proximity       func(peer NodeID) float64
@@ -72,8 +72,10 @@ type Node struct {
 	sampler *sampling.Service
 	xchg    *tman.Exchanger
 
-	// Heartbeat bookkeeping (Algorithms 6–7).
-	ages     map[NodeID]int
+	// Heartbeat bookkeeping (Algorithms 6–7): the shared failure detector
+	// — neighbor ages and suspicion tombstones for nodes whose heartbeats
+	// timed out — and the last profile heard from each peer.
+	live     *ring.Liveness
 	profiles map[NodeID]*Profile
 	// With Recovery, digests holds the Digest of every stored profile and
 	// wantsAnswered the peers whose Want this heartbeat period has already
@@ -87,10 +89,6 @@ type Node struct {
 	// knownSubs caches subscription lists gleaned from T-Man payloads for
 	// nodes without a full profile yet.
 	knownSubs map[NodeID][]TopicID
-	// suspects are nodes whose heartbeats timed out; their descriptors
-	// keep circulating in gossip buffers for a while, so selection must
-	// refuse them until the suspicion expires (or they speak again).
-	suspects map[NodeID]simnet.Time
 	// lost remembers evicted peers (bounded) past the suspicion tombstone,
 	// so a peer returning after a long partition is still recognized as a
 	// recovery rather than a stranger (see recovery.go).
@@ -115,12 +113,11 @@ type Node struct {
 	proposals map[TopicID]Proposal
 
 	// Relay-path soft state (§III-B).
-	relays map[TopicID]*relayState
+	relays ring.Trees
 
 	// Dissemination state (§III-C).
-	seen       *seenSet
-	seenRounds int
-	pubSeq     uint64
+	seen   *ring.Seen
+	pubSeq uint64
 
 	// Durable event history (internal/store; nil = disabled). Events this
 	// node publishes, delivers, or relays are appended so offline
@@ -157,17 +154,16 @@ func NewNode(net simnet.Net, id NodeID, params Params, hooks Hooks) *Node {
 		params:      p,
 		hooks:       hooks,
 		subs:        make(map[TopicID]bool),
-		ages:        make(map[NodeID]int),
+		live:        ring.NewLiveness(p.StaleAge, p.HeartbeatPeriod),
 		profiles:    make(map[NodeID]*Profile),
 		reverse:     make(map[NodeID]simnet.Time),
 		knownSubs:   make(map[NodeID][]TopicID),
-		suspects:    make(map[NodeID]simnet.Time),
 		lost:        make(map[NodeID]simnet.Time),
 		recent:      make(map[TopicID][]replayRecord),
 		replayAsk:   make(map[NodeID]int),
 		proposals:   make(map[TopicID]Proposal),
-		relays:      make(map[TopicID]*relayState),
-		seen:        newSeenSet(),
+		relays:      make(ring.Trees),
+		seen:        ring.NewSeen(),
 		payloads:    make(map[EventID][]byte),
 		pulling:     make(map[EventID]*pullState),
 		pullWaiters: make(map[EventID][]NodeID),
@@ -270,25 +266,16 @@ func (n *Node) Join(bootstrap []NodeID) {
 		},
 		bootstrap, n.rng)
 
-	bootDesc := make([]tman.Descriptor, 0, len(bootstrap))
-	for _, id := range bootstrap {
-		bootDesc = append(bootDesc, tman.Descriptor{ID: id})
-	}
 	n.xchg = tman.New(n.net, n.id, n.params.GossipPeriod, tman.Callbacks{
 		SelfDescriptor: func() tman.Descriptor {
 			return tman.Descriptor{ID: n.id, Payload: n.buildProfile().Summary()}
 		},
 		SampleNodes: func() []tman.Descriptor {
-			ids := n.sampler.Sample(n.params.SampleSize)
-			out := make([]tman.Descriptor, 0, len(ids))
-			for _, id := range ids {
-				out = append(out, tman.Descriptor{ID: id})
-			}
-			return out
+			return ring.Descriptors(n.sampler.Sample(n.params.SampleSize))
 		},
 		SelectNeighbors: n.selectNeighbors,
 		Metrics:         &n.tel.TMan,
-	}, bootDesc, n.rng)
+	}, ring.Descriptors(bootstrap), n.rng)
 
 	n.sampler.Start()
 	n.xchg.Start()
@@ -370,39 +357,10 @@ func (n *Node) heartbeat() {
 		clear(n.wantsAnswered)
 	}
 	hb := n.profileMsg(false, beacon)
-	// Snapshot the table ids into scratch: eviction below mutates the
-	// exchanger's table while we iterate.
-	rt := n.hbIDs[:0]
-	for _, d := range n.xchg.RTRef() {
-		rt = append(rt, d.ID)
-	}
-	n.hbIDs = rt
-	for _, id := range rt {
-		n.ages[id]++
-		if n.ages[id] > n.params.StaleAge {
-			n.xchg.Remove(id)
-			delete(n.ages, id)
-			n.dropProfile(id)
-			// Tombstone: the dead descriptor will keep arriving in
-			// gossip buffers for a while; refuse to re-select it.
-			n.suspects[id] = now + 3*simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
-			n.tel.NeighborsSuspected.Inc()
-			n.tel.NeighborsEvicted.Inc()
-			if n.params.Recovery {
-				n.recordLost(id, now)
-				n.onNeighborLost(id)
-			}
-			continue
-		}
+	n.live.Beat(n.xchg, now, n.evictNeighbor, func(id NodeID) {
 		n.net.Send(n.id, id, hb)
 		n.tel.Heartbeats.Inc()
-	}
-	// Drop age entries for nodes no longer in the table.
-	for id := range n.ages {
-		if !n.xchg.Contains(id) {
-			delete(n.ages, id)
-		}
-	}
+	})
 	// Resend pulls whose response is overdue (lost PullReq/PullResp).
 	n.retryPulls(now)
 	// Advance store catch-up walks, one page per topic per beat. With no
@@ -422,16 +380,25 @@ func (n *Node) heartbeat() {
 			n.antiEntropySweep()
 		}
 	}
-	// Bound the dedup memory: rotate the seen-set generations well above
-	// any plausible dissemination time. Payloads and pull bookkeeping are
-	// keyed by the same events, so they are evicted on the same cadence.
-	n.seenRounds++
-	if n.seenRounds >= seenRotateRounds {
-		n.seenRounds = 0
-		n.seen.rotate()
+	// Bound the dedup memory. Payloads and pull bookkeeping are keyed by
+	// the same events, so they are evicted when the generations rotate.
+	if n.seen.Tick() {
 		n.evictPullState()
 	}
 	n.updateGauges(now)
+}
+
+// evictNeighbor is what eviction by the failure detector means to Vitis:
+// forget the peer's profile, count it, and with Recovery remember the peer
+// and repair the relay paths through it.
+func (n *Node) evictNeighbor(id NodeID) {
+	n.dropProfile(id)
+	n.tel.NeighborsSuspected.Inc()
+	n.tel.NeighborsEvicted.Inc()
+	if n.params.Recovery {
+		n.recordLost(id, n.eng.Now())
+		n.onNeighborLost(id)
+	}
 }
 
 // updateGauges refreshes the node's state gauges once per heartbeat. With
@@ -445,7 +412,7 @@ func (n *Node) updateGauges(now simnet.Time) {
 		}
 	}
 	n.tel.ReverseNeighbors.Set(int64(fresh))
-	n.tel.SeenEvents.Set(int64(n.seen.len()))
+	n.tel.SeenEvents.Set(int64(n.seen.Len()))
 	n.tel.PullBacklog.Set(int64(n.PullBookkeepingSize()))
 	gw, relays := 0, 0
 	for _, p := range n.proposals {
@@ -454,7 +421,7 @@ func (n *Node) updateGauges(now simnet.Time) {
 		}
 	}
 	for _, rs := range n.relays {
-		if !rs.expired(now) {
+		if rs.Live(now) {
 			relays++
 		}
 	}
@@ -462,11 +429,6 @@ func (n *Node) updateGauges(now simnet.Time) {
 	n.tel.RelayTopics.Set(int64(relays))
 	n.tel.CatchUpPending.Set(int64(len(n.catchUp)))
 }
-
-// seenRotateRounds is how many heartbeat rounds one seen-set generation
-// lives; dissemination completes within a handful of rounds, so 30 gives a
-// wide safety margin.
-const seenRotateRounds = 30
 
 // wantMsg asks a peer for its full profile; boxed once for every sender.
 var wantMsg simnet.Message = ProfileMsg{Want: true}
@@ -483,7 +445,7 @@ var wantMsg simnet.Message = ProfileMsg{Want: true}
 // a Want with the full profile, at most once per peer per heartbeat period.
 func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 	n.tel.Profiles.Inc()
-	delete(n.suspects, from) // it speaks, so it lives
+	n.live.Unsuspect(from) // it speaks, so it lives
 	if n.params.Recovery {
 		if _, wasLost := n.lost[from]; wasLost {
 			delete(n.lost, from)
@@ -511,7 +473,7 @@ func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 	n.reverse[from] = n.eng.Now() + simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
 	inTable := n.xchg.Contains(from)
 	if inTable {
-		n.ages[from] = 0
+		n.live.Heard(from)
 		if p := n.profiles[from]; p != nil {
 			n.xchg.UpdatePayload(from, p.Summary())
 		}
@@ -704,22 +666,7 @@ func (n *Node) expireState(now simnet.Time) {
 			}
 		}
 	}
-	for t, rs := range n.relays {
-		for c, exp := range rs.children {
-			if exp <= now {
-				delete(rs.children, c)
-				rs.invalidateChildren()
-			}
-		}
-		if rs.expired(now) {
-			delete(n.relays, t)
-		}
-	}
-	for id, until := range n.suspects {
-		if until <= now {
-			delete(n.suspects, id)
-		}
-	}
+	n.relays.Expire(now)
 }
 
 // recordSubs caches a subscription list learned from gossip payloads.
@@ -734,14 +681,7 @@ func (n *Node) recordSubs(id NodeID, subs []TopicID) {
 
 // RoutingTable returns the current routing-table node ids in selection order
 // (successor, predecessor, sw-neighbors, friends).
-func (n *Node) RoutingTable() []NodeID {
-	rt := n.xchg.RT()
-	out := make([]NodeID, len(rt))
-	for i, d := range rt {
-		out[i] = d.ID
-	}
-	return out
-}
+func (n *Node) RoutingTable() []NodeID { return ring.IDs(n.xchg.RTRef()) }
 
 // Successor returns the node's current ring successor (first RT slot).
 func (n *Node) Successor() (NodeID, bool) {
@@ -777,14 +717,12 @@ func (n *Node) IsGateway(t TopicID) bool {
 // IsRendezvous reports whether the node currently holds live rendezvous
 // state for t.
 func (n *Node) IsRendezvous(t TopicID) bool {
-	rs, ok := n.relays[t]
-	return ok && rs.rendezvous && rs.rendezExpiry > n.eng.Now()
+	return n.relays.Rendezvous(t, n.eng.Now())
 }
 
 // IsRelay reports whether the node holds any live relay state for t.
 func (n *Node) IsRelay(t TopicID) bool {
-	rs, ok := n.relays[t]
-	return ok && !rs.expired(n.eng.Now())
+	return n.relays.Live(t, n.eng.Now())
 }
 
 // RelayTTLExhausted returns how many relay-path lookups terminated at this

@@ -274,7 +274,7 @@ func TestHeartbeatAllocBound(t *testing.T) {
 	n, profs := profileFixture(t, 15, false)
 	run := func() {
 		for _, p := range profs {
-			n.ages[p.ID] = 0 // they answered: keep the table intact
+			n.live.Heard(p.ID) // they answered: keep the table intact
 		}
 		n.heartbeat()
 	}

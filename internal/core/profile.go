@@ -2,18 +2,15 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
-	"vitis/internal/simnet"
+	"vitis/internal/ring"
 	"vitis/internal/tman"
 )
 
-// EventID uniquely identifies a published event.
-type EventID struct {
-	Publisher NodeID
-	Seq       uint64
-}
+// EventID uniquely identifies a published event: the shared substrate's
+// type, so the three systems' events are the same type.
+type EventID = ring.EventID
 
 // Proposal is one gateway proposal of Algorithm 5: the proposed gateway, the
 // neighbor the proposal was adopted from ("parent"), and the hop distance to
@@ -170,73 +167,4 @@ func payloadSubs(d tman.Descriptor) ([]TopicID, bool) {
 		return *s, true
 	}
 	return nil, false
-}
-
-// relayState is the per-topic soft state of a node on one or more relay
-// paths.
-type relayState struct {
-	hasParent    bool
-	parent       NodeID
-	parentExpiry simnet.Time
-	rendezvous   bool
-	rendezExpiry simnet.Time
-	children     map[NodeID]simnet.Time // child -> lease expiry
-
-	// childCache memoizes freshChildren between mutations: dissemination
-	// asks for the child list once per notification, but the set only
-	// changes when a relay lookup refreshes a lease (invalidateChildren)
-	// or when the earliest cached lease expires (childCacheUntil).
-	childCache      []NodeID
-	childCacheValid bool
-	childCacheUntil simnet.Time
-}
-
-func (rs *relayState) freshParent(now simnet.Time) (NodeID, bool) {
-	if rs.hasParent && rs.parentExpiry > now {
-		return rs.parent, true
-	}
-	return 0, false
-}
-
-// freshChildren returns the sorted live children. The returned slice is
-// owned by the state (callers copy what they keep) and valid until the next
-// mutation or lease expiry.
-func (rs *relayState) freshChildren(now simnet.Time) []NodeID {
-	if rs.childCacheValid && now < rs.childCacheUntil {
-		return rs.childCache
-	}
-	out := rs.childCache[:0]
-	until := simnet.Time(math.MaxInt64)
-	for c, exp := range rs.children {
-		if exp > now {
-			out = append(out, c)
-			if exp < until {
-				until = exp
-			}
-		}
-	}
-	slices.Sort(out)
-	rs.childCache = out
-	rs.childCacheValid = true
-	rs.childCacheUntil = until
-	return out
-}
-
-// invalidateChildren must be called after any write to rs.children.
-func (rs *relayState) invalidateChildren() { rs.childCacheValid = false }
-
-// expired reports whether the state carries no live information at all.
-func (rs *relayState) expired(now simnet.Time) bool {
-	if rs.hasParent && rs.parentExpiry > now {
-		return false
-	}
-	if rs.rendezvous && rs.rendezExpiry > now {
-		return false
-	}
-	for _, exp := range rs.children {
-		if exp > now {
-			return false
-		}
-	}
-	return true
 }

@@ -52,7 +52,7 @@ func (n *Node) PublishData(t TopicID, payload []byte) EventID {
 	ev := EventID{Publisher: n.id, Seq: n.pubSeq}
 	n.pubSeq++
 	pubTime := n.now()
-	n.seen.add(ev)
+	n.seen.Add(ev)
 	n.payloads[ev] = payload
 	n.tel.Published.Inc()
 	if n.params.Recovery {
@@ -167,22 +167,22 @@ func (n *Node) retryPulls(now simnet.Time) {
 // generations.
 func (n *Node) evictPullState() {
 	for ev := range n.payloads {
-		if !n.seen.has(ev) {
+		if !n.seen.Has(ev) {
 			delete(n.payloads, ev)
 		}
 	}
 	for ev := range n.pulling {
-		if !n.seen.has(ev) {
+		if !n.seen.Has(ev) {
 			delete(n.pulling, ev)
 		}
 	}
 	for ev := range n.pullWaiters {
-		if !n.seen.has(ev) {
+		if !n.seen.Has(ev) {
 			delete(n.pullWaiters, ev)
 		}
 	}
 	for ev := range n.wantPayload {
-		if !n.seen.has(ev) {
+		if !n.seen.Has(ev) {
 			delete(n.wantPayload, ev)
 		}
 	}

@@ -196,9 +196,10 @@ func TestPullBookkeepingEvicted(t *testing.T) {
 		}
 	}
 
-	// Two full seen-set rotations (2 x seenRotateRounds heartbeats) must
-	// clear every trace of the old events on every node.
-	c.run(2*seenRotateRounds*simnet.Second + 10*simnet.Second)
+	// Two full seen-set rotations (2 x 30 heartbeats, ring.Seen's
+	// generation length) must clear every trace of the old events on every
+	// node.
+	c.run(2*30*simnet.Second + 10*simnet.Second)
 	for _, nd := range c.nodes {
 		if got := nd.PullBookkeepingSize(); got != 0 {
 			t.Errorf("node %v still tracks %d pull entries after two rotations", nd.ID(), got)

@@ -3,8 +3,8 @@ package core
 import (
 	"slices"
 
+	"vitis/internal/ring"
 	"vitis/internal/simnet"
-	"vitis/internal/tman"
 )
 
 // Failure recovery beyond the paper's baseline self-healing (§III-D). The
@@ -82,15 +82,10 @@ func (n *Node) recordLost(id NodeID, now simnet.Time) {
 func (n *Node) onNeighborLost(id NodeID) {
 	var repair []TopicID
 	for t, rs := range n.relays {
-		if rs.hasParent && rs.parent == id {
-			rs.hasParent = false
+		if rs.DropPeer(id) {
 			if p, ok := n.proposals[t]; ok && p.GW == n.id {
 				repair = append(repair, t)
 			}
-		}
-		if _, ok := rs.children[id]; ok {
-			delete(rs.children, id)
-			rs.invalidateChildren()
 		}
 	}
 	slices.Sort(repair)
@@ -244,15 +239,11 @@ func (n *Node) Rejoin(peers []NodeID) {
 	slices.Sort(fresh)
 	fresh = slices.Compact(fresh)
 	for _, id := range fresh {
-		delete(n.suspects, id)
+		n.live.Unsuspect(id)
 		delete(n.lost, id)
 	}
 	n.sampler.Seed(fresh)
-	ds := make([]tman.Descriptor, 0, len(fresh))
-	for _, id := range fresh {
-		ds = append(ds, tman.Descriptor{ID: id})
-	}
-	n.xchg.Seed(ds)
+	n.xchg.Seed(ring.Descriptors(fresh))
 	n.tel.Rejoins.Inc()
 	if n.params.Recovery {
 		for _, id := range fresh {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"vitis/internal/simnet"
@@ -155,7 +156,7 @@ func TestRejoinSeedsMembershipAndRequestsReplay(t *testing.T) {
 		}))
 	}
 	// Stale verdicts about the peers must be forgotten on rejoin.
-	n.suspects[200] = 1 << 40
+	n.live.Suspect(200, 0)
 	n.lost[300] = 7
 
 	n.Rejoin([]NodeID{200, 300, 200, n.ID()})
@@ -165,8 +166,8 @@ func TestRejoinSeedsMembershipAndRequestsReplay(t *testing.T) {
 	if m.Rejoins.Value() != 1 {
 		t.Errorf("Rejoins = %d, want 1", m.Rejoins.Value())
 	}
-	if len(n.suspects) != 0 || len(n.lost) != 0 {
-		t.Errorf("stale verdicts survived rejoin: suspects=%v lost=%v", n.suspects, n.lost)
+	if n.live.Suspected(200, eng.Now()) || len(n.lost) != 0 {
+		t.Errorf("stale verdicts survived rejoin: suspected=%v lost=%v", n.live.Suspected(200, eng.Now()), n.lost)
 	}
 	if reqs[200] != 1 || reqs[300] != 1 {
 		t.Errorf("replay requests per fresh peer = %v, want one each", reqs)
@@ -183,16 +184,16 @@ func TestEvictionRepairsRelayPath(t *testing.T) {
 	// This node is the topic's gateway and its relay parent is peer 200,
 	// which also holds a child lease.
 	n.proposals[tp] = Proposal{GW: n.ID(), Parent: n.ID(), Hops: 0}
-	rs := &relayState{hasParent: true, parent: 200, parentExpiry: 1 << 40}
-	rs.children = map[NodeID]simnet.Time{200: 1 << 40}
-	n.relays[tp] = rs
+	rs := n.relays.For(tp)
+	rs.LeaseParent(200, 1<<40)
+	rs.LeaseChild(200, 1<<40)
 
 	n.onNeighborLost(200)
 
-	if rs.hasParent {
+	if p, ok := rs.Parent(0); ok && p == 200 {
 		t.Error("stale relay parent kept after eviction")
 	}
-	if _, still := rs.children[200]; still {
+	if slices.Contains(rs.Children(0), 200) {
 		t.Error("dead node still holds a child lease")
 	}
 	if m.RelaysRepaired.Value() != 1 {
@@ -211,8 +212,8 @@ func TestReplayRingBlocksResurrectedEvents(t *testing.T) {
 	}
 	// Enough heartbeat time passes that the seen-set forgets the event
 	// entirely; only the replay ring still remembers it.
-	n.seen.rotate()
-	n.seen.rotate()
+	n.seen.Rotate()
+	n.seen.Rotate()
 	if n.Seen(ev) {
 		t.Fatal("seen-set still remembers the event; test setup is wrong")
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"vitis/internal/idspace"
-	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
 )
 
@@ -13,32 +11,7 @@ import (
 // heartbeat while the node remains gateway, which doubles as the soft-state
 // lease refresh of §III-D.
 func (n *Node) requestRelay(t TopicID) {
-	now := n.eng.Now()
-	rs := n.relayFor(t)
-	next, ok := n.closestNeighborTo(t)
-	if !ok {
-		// No neighbor is closer to hash(t) than we are: the gateway
-		// itself is the rendezvous node for its reachable region.
-		if !rs.rendezvous || rs.rendezExpiry <= now {
-			n.tel.RendezvousTaken.Inc()
-			n.tracer.Emit(telemetry.SpanEvent{
-				Kind: telemetry.KindRelayRdv, Node: uint64(n.id),
-				Topic: uint64(t), Pub: uint64(n.id),
-			})
-		}
-		rs.rendezvous = true
-		rs.rendezExpiry = now + n.params.RelayLease
-		return
-	}
-	rs.hasParent = true
-	rs.parent = next
-	rs.parentExpiry = now + n.params.RelayLease
-	n.tel.RelayLookups.Inc()
-	n.tracer.Emit(telemetry.SpanEvent{
-		Kind: telemetry.KindRelayLookup, Node: uint64(n.id), Peer: uint64(next),
-		Topic: uint64(t), Pub: uint64(n.id), TTL: n.params.LookupTTL,
-	})
-	n.net.Send(n.id, next, RelayMsg{Topic: t, Origin: n.id, TTL: n.params.LookupTTL})
+	n.relayStep(t, n.id, n.params.LookupTTL, n.tel.RelayLookups, telemetry.KindRelayLookup)
 }
 
 // handleRelay processes one hop of a relay-path lookup: record the sender as
@@ -59,60 +32,33 @@ func (n *Node) handleRelay(from NodeID, m RelayMsg) {
 		})
 		return
 	}
-	now := n.eng.Now()
-	rs := n.relayFor(m.Topic)
-	if rs.children == nil {
-		rs.children = make(map[NodeID]simnet.Time)
-	}
-	rs.children[from] = now + n.params.RelayLease
-	rs.invalidateChildren()
+	n.relays.For(m.Topic).LeaseChild(from, n.eng.Now()+n.params.RelayLease)
+	n.relayStep(m.Topic, m.Origin, m.TTL-1, n.tel.RelayHops, telemetry.KindRelayHop)
+}
 
-	next, ok := n.closestNeighborTo(m.Topic)
+// relayStep advances origin's relay lookup for t by one greedy hop,
+// refreshing this node's parent lease, or takes the rendezvous role when no
+// neighbor is closer to hash(t). hops counts a forwarded lookup, traced as
+// kind and sent on with the given TTL.
+func (n *Node) relayStep(t TopicID, origin NodeID, ttl int, hops *telemetry.Counter, kind string) {
+	now := n.eng.Now()
+	rs := n.relays.For(t)
+	wasRendezvous := rs.IsRendezvous(now)
+	next, ok := rs.Advance(n.id, n.xchg.RTRef(), t, now+n.params.RelayLease)
 	if !ok {
-		if !rs.rendezvous || rs.rendezExpiry <= now {
+		if !wasRendezvous {
 			n.tel.RendezvousTaken.Inc()
 			n.tracer.Emit(telemetry.SpanEvent{
 				Kind: telemetry.KindRelayRdv, Node: uint64(n.id),
-				Topic: uint64(m.Topic), Pub: uint64(m.Origin),
+				Topic: uint64(t), Pub: uint64(origin),
 			})
 		}
-		rs.rendezvous = true
-		rs.rendezExpiry = now + n.params.RelayLease
 		return
 	}
-	rs.hasParent = true
-	rs.parent = next
-	rs.parentExpiry = now + n.params.RelayLease
-	n.tel.RelayHops.Inc()
+	hops.Inc()
 	n.tracer.Emit(telemetry.SpanEvent{
-		Kind: telemetry.KindRelayHop, Node: uint64(n.id), Peer: uint64(next),
-		Topic: uint64(m.Topic), Pub: uint64(m.Origin), TTL: m.TTL - 1,
+		Kind: kind, Node: uint64(n.id), Peer: uint64(next),
+		Topic: uint64(t), Pub: uint64(origin), TTL: ttl,
 	})
-	n.net.Send(n.id, next, RelayMsg{Topic: m.Topic, Origin: m.Origin, TTL: m.TTL - 1})
-}
-
-// closestNeighborTo returns the routing-table neighbor strictly closer to
-// target than this node, minimising ring distance — one greedy step of the
-// small-world lookup. The second result is false when the node itself is
-// closest (lookup termination).
-func (n *Node) closestNeighborTo(target idspace.ID) (NodeID, bool) {
-	best := n.id
-	for _, d := range n.xchg.RTRef() {
-		if idspace.Closer(d.ID, best, target) {
-			best = d.ID
-		}
-	}
-	if best == n.id {
-		return 0, false
-	}
-	return best, true
-}
-
-func (n *Node) relayFor(t TopicID) *relayState {
-	rs, ok := n.relays[t]
-	if !ok {
-		rs = &relayState{children: make(map[NodeID]simnet.Time)}
-		n.relays[t] = rs
-	}
-	return rs
+	n.net.Send(n.id, next, RelayMsg{Topic: t, Origin: origin, TTL: ttl})
 }

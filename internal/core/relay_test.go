@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vitis/internal/idspace"
+	"vitis/internal/ring"
 	"vitis/internal/simnet"
 )
 
@@ -110,7 +111,7 @@ func TestClosestNeighborToGreedyStep(t *testing.T) {
 	c.run(35 * simnet.Second)
 	target := Topic("some-target")
 	for _, nd := range c.nodes {
-		next, ok := nd.closestNeighborTo(target)
+		next, ok := ring.NextHop(nd.ID(), nd.xchg.RTRef(), target)
 		if !ok {
 			continue // nd believes it is closest
 		}
@@ -121,7 +122,7 @@ func TestClosestNeighborToGreedyStep(t *testing.T) {
 }
 
 func TestGreedyLookupTerminates(t *testing.T) {
-	// Follow closestNeighborTo links node-to-node: distances strictly
+	// Follow greedy next hops node-to-node: distances strictly
 	// shrink, so the walk must terminate at the global minimum.
 	c := newCluster(t, 32, Params{}, func(i int) []TopicID { return []TopicID{Topic("walk")} })
 	c.run(35 * simnet.Second)
@@ -135,7 +136,7 @@ func TestGreedyLookupTerminates(t *testing.T) {
 		if hops > 64 {
 			t.Fatal("greedy lookup did not terminate")
 		}
-		next, ok := cur.closestNeighborTo(target)
+		next, ok := ring.NextHop(cur.ID(), cur.xchg.RTRef(), target)
 		if !ok {
 			break
 		}

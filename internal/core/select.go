@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math"
-	"math/rand"
 	"slices"
 
-	"vitis/internal/idspace"
+	"vitis/internal/ring"
 	"vitis/internal/tman"
 )
 
@@ -96,26 +94,6 @@ func utilitySorted(mine []TopicID, myWeight float64, theirs []TopicID, rate func
 	return inter / union
 }
 
-// harmonicDistance draws a clockwise ring distance from the Symphony
-// probability density p(x) ∝ 1/(x ln N) over normalized distances
-// [1/N, 1): x = N^(u-1) for u uniform in [0,1). Links drawn this way give
-// greedy routing in O(1/k · log²N) hops.
-func harmonicDistance(rng *rand.Rand, n int) uint64 {
-	if n < 2 {
-		n = 2
-	}
-	u := rng.Float64()
-	x := math.Pow(float64(n), u-1) // in [1/N, 1)
-	d := x * math.Pow(2, 64)
-	if d >= math.MaxUint64 {
-		return math.MaxUint64
-	}
-	if d < 1 {
-		return 1
-	}
-	return uint64(d)
-}
-
 // scored pairs a candidate with its computed preference for the friend
 // ranking; kept in a reusable per-node scratch slice.
 type scored struct {
@@ -127,44 +105,8 @@ type scored struct {
 // valid because a node is single-threaded and selection never re-enters
 // itself (see DESIGN.md "Performance").
 type selScratch struct {
-	used     map[NodeID]bool
-	rest     []scored
-	selected []tman.Descriptor
-}
-
-// argmin key modes for the ring/small-world slots of Algorithm 4.
-const (
-	keySuccessor = iota
-	keyPredecessor
-	keySmallWorld
-)
-
-// argminBy returns the unused candidate minimising the Algorithm-4 key for
-// the given slot kind; ties break on id for determinism. A switch on kind
-// instead of a key closure keeps the per-round path free of closure
-// allocations.
-func argminBy(kind int, self, target idspace.ID, buffer []tman.Descriptor, used map[NodeID]bool) (tman.Descriptor, bool) {
-	var best tman.Descriptor
-	bestKey := uint64(math.MaxUint64)
-	found := false
-	for _, d := range buffer {
-		if used[d.ID] {
-			continue
-		}
-		var k uint64
-		switch kind {
-		case keySuccessor:
-			k = idspace.CWDistance(self, d.ID)
-		case keyPredecessor:
-			k = idspace.CWDistance(d.ID, self)
-		default:
-			k = idspace.Distance(d.ID, target)
-		}
-		if !found || k < bestKey || (k == bestKey && d.ID < best.ID) {
-			best, bestKey, found = d, k, true
-		}
-	}
-	return best, found
+	slots ring.Slots
+	rest  []scored
 }
 
 // selectNeighbors is Algorithm 4. Given the deduplicated candidate buffer
@@ -175,52 +117,26 @@ func argminBy(kind int, self, target idspace.ID, buffer []tman.Descriptor, used 
 // The returned slice is owned by the node's scratch and valid until the next
 // call; the T-Man exchanger copies what it keeps.
 func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
+	// Drop candidates we recently detected as dead (their descriptors keep
+	// circulating), and refresh subscription knowledge from payloads so
+	// utilities and dissemination see the freshest membership info.
+	buffer = n.live.DropSuspects(buffer, n.eng.Now())
 	if len(buffer) == 0 {
 		return nil
 	}
-	// Refresh subscription knowledge from payloads so utilities and
-	// dissemination see the freshest membership info, and drop candidates
-	// we recently detected as dead (their descriptors keep circulating).
-	now := n.eng.Now()
-	live := buffer[:0]
 	for _, d := range buffer {
-		if until, suspect := n.suspects[d.ID]; suspect && until > now {
-			continue
-		}
 		if subs, ok := payloadSubs(d); ok {
 			n.recordSubs(d.ID, subs)
 		}
-		live = append(live, d)
-	}
-	buffer = live
-	if len(buffer) == 0 {
-		return nil
 	}
 
-	if n.sel.used == nil {
-		n.sel.used = make(map[NodeID]bool, n.params.RTSize)
-	}
-	used := n.sel.used
-	clear(used)
-	selected := n.sel.selected[:0]
-
-	// Successor: minimal clockwise distance from self (Algorithm 4 line 2).
-	if succ, ok := argminBy(keySuccessor, n.id, 0, buffer, used); ok {
-		selected = append(selected, succ)
-		used[succ.ID] = true
-	}
-	// Predecessor: minimal clockwise distance to self (line 5).
-	if pred, ok := argminBy(keyPredecessor, n.id, 0, buffer, used); ok {
-		selected = append(selected, pred)
-		used[pred.ID] = true
-	}
-	// k sw-neighbors at RANDOM-DISTANCE (line 8).
+	// Successor and predecessor (Algorithm 4 lines 2 and 5), then k
+	// sw-neighbors at RANDOM-DISTANCE (line 8).
+	sl := &n.sel.slots
+	sl.Reset()
+	sl.Ring(n.id, buffer)
 	for i := 0; i < n.params.SWLinks; i++ {
-		target := n.id + idspace.ID(harmonicDistance(n.rng, n.params.NetworkSizeEstimate))
-		if sw, ok := argminBy(keySmallWorld, n.id, target, buffer, used); ok {
-			selected = append(selected, sw)
-			used[sw.ID] = true
-		}
+		sl.SmallWorld(n.rng, n.id, n.params.NetworkSizeEstimate, buffer)
 	}
 	// Friends by descending utility (lines 11–15); ties break on id for
 	// determinism. Candidates with unknown subscriptions score zero but
@@ -229,7 +145,7 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 	mine, myWeight := n.subsView()
 	rest := n.sel.rest[:0]
 	for _, d := range buffer {
-		if used[d.ID] {
+		if sl.Taken(d.ID) {
 			continue
 		}
 		u := utilitySorted(mine, myWeight, n.subsOf(d), n.rate)
@@ -254,15 +170,13 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 		return 0
 	})
 	for _, s := range rest {
-		if len(selected) >= n.params.RTSize {
+		if sl.Len() >= n.params.RTSize {
 			break
 		}
-		selected = append(selected, s.d)
-		used[s.d.ID] = true
+		sl.Take(s.d)
 	}
 	n.sel.rest = rest
-	n.sel.selected = selected
-	return selected
+	return sl.Selected()
 }
 
 // subsOf extracts a candidate's subscription list from its descriptor

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -85,44 +84,6 @@ func TestUtilityBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHarmonicDistanceRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		d := harmonicDistance(rng, 10000)
-		if d < 1 {
-			t.Fatalf("distance %d below 1", d)
-		}
-	}
-}
-
-func TestHarmonicDistanceFavorsShort(t *testing.T) {
-	// Roughly half the draws should land below sqrt(1/N)·ring ≈
-	// N^(-1/2)·2^64 (u < 0.5 maps there).
-	rng := rand.New(rand.NewSource(2))
-	const n = 10000
-	threshold := uint64(math.Pow(float64(n), -0.5) * math.Pow(2, 64))
-	short := 0
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		if harmonicDistance(rng, n) < threshold {
-			short++
-		}
-	}
-	frac := float64(short) / draws
-	if math.Abs(frac-0.5) > 0.05 {
-		t.Errorf("fraction of short links %g, want ~0.5", frac)
-	}
-}
-
-func TestHarmonicDistanceDegenerateN(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		if d := harmonicDistance(rng, 0); d < 1 {
-			t.Fatal("degenerate N should still give valid distances")
-		}
 	}
 }
 

@@ -5,11 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"vitis/internal/core"
-	"vitis/internal/idspace"
 	"vitis/internal/metrics"
-	"vitis/internal/opt"
-	"vitis/internal/rvr"
 	"vitis/internal/simnet"
 	"vitis/internal/workload"
 )
@@ -71,60 +67,13 @@ func RunChurn(cfg ChurnRunConfig) (*ChurnResult, error) {
 	nids := nodeIDs(n)
 	subsOf := cfg.Subs.SubscribersOf()
 
-	nodes := make([]pubsubNode, n) // nil when down
-	pubs := make([]publisher, n)   // parallel to nodes
+	nodes := make([]node, n) // nil when down
 	joinedAt := make([]simnet.Time, n)
 	aliveIdx := make(map[int]bool)
 
-	deliver := func(node simnet.NodeID, _ idspace.ID, ev any, hops int) {
-		col.Deliver(ev, node, hops)
-	}
-	notify := func(node simnet.NodeID, _ idspace.ID, interested bool) {
-		col.Notification(node, interested)
-	}
-
-	spawn := func(i int) (pubsubNode, publisher) {
-		switch cfg.System {
-		case Vitis:
-			nd := core.NewNode(net, nids[i], core.Params{
-				RTSize:              cfg.RTSize,
-				SWLinks:             cfg.SWLinks,
-				GatewayHops:         cfg.GatewayHops,
-				NetworkSizeEstimate: n,
-			}, core.Hooks{
-				OnDeliver: func(node core.NodeID, topic core.TopicID, ev core.EventID, hops int) {
-					deliver(node, topic, ev, hops)
-				},
-				OnNotification: notify,
-			})
-			return vitisNode{nd}, vitisNode{nd}
-		case RVR:
-			nd := rvr.NewNode(net, nids[i], rvr.Params{
-				RTSize:              cfg.RTSize,
-				NetworkSizeEstimate: n,
-			}, rvr.Hooks{
-				OnDeliver: func(node rvr.NodeID, topic rvr.TopicID, ev rvr.EventID, hops int) {
-					deliver(node, topic, ev, hops)
-				},
-				OnNotification: notify,
-			})
-			return rvrNode{nd}, rvrNode{nd}
-		default:
-			nd := opt.NewNode(net, nids[i], opt.Params{
-				MaxDegree: cfg.OPTMaxDegree,
-			}, opt.Hooks{
-				OnDeliver: func(node opt.NodeID, topic opt.TopicID, ev opt.EventID, hops int) {
-					deliver(node, topic, ev, hops)
-				},
-				OnNotification: notify,
-			})
-			return optNode{nd}, optNode{nd}
-		}
-	}
-
 	onJoin := func(id simnet.NodeID) {
 		i := int(id)
-		nd, pb := spawn(i)
+		nd := newNode(cfg.System, net, nids[i], col, n, cfg.RTSize, cfg.SWLinks, cfg.GatewayHops, cfg.OPTMaxDegree)
 		for _, ti := range cfg.Subs.Subs[i] {
 			nd.Subscribe(tids[ti])
 		}
@@ -143,7 +92,7 @@ func RunChurn(cfg ChurnRunConfig) (*ChurnResult, error) {
 			}
 		}
 		nd.Join(boot)
-		nodes[i], pubs[i] = nd, pb
+		nodes[i] = nd
 		joinedAt[i] = eng.Now()
 		aliveIdx[i] = true
 	}
@@ -151,7 +100,7 @@ func RunChurn(cfg ChurnRunConfig) (*ChurnResult, error) {
 		i := int(id)
 		if nodes[i] != nil {
 			nodes[i].Leave()
-			nodes[i], pubs[i] = nil, nil
+			nodes[i] = nil
 		}
 		delete(aliveIdx, i)
 	}
@@ -190,7 +139,7 @@ func RunChurn(cfg ChurnRunConfig) (*ChurnResult, error) {
 			for _, si := range candidates {
 				expected = append(expected, nids[si])
 			}
-			ev := pubs[pubIdx].publish(topic)
+			ev := nodes[pubIdx].publish(topic)
 			col.RecordPublish(ev, topic, now, expected)
 			// The publisher's own delivery hook fired inside publish,
 			// before the event was registered; re-record it.

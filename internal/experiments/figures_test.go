@@ -1,19 +1,59 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"vitis/internal/tablefmt"
 )
 
 // Figure drivers run at Tiny scale; these tests assert structure and the
-// headline relationships, not absolute values.
+// headline relationships, and pin every rendered table byte for byte
+// against testdata/tiny/<name>.golden.
+
+var update = flag.Bool("update", false, "rewrite the Tiny table goldens under testdata/tiny")
+
+// checkTiny compares a driver's rendered Tiny table with its golden, or
+// rewrites the golden under -update. The goldens are produced on amd64:
+// arm64 may fuse multiply-adds and move the last printed digit, so other
+// architectures skip the comparison rather than fail it.
+func checkTiny(t *testing.T, name string, tab *tablefmt.Table) {
+	t.Helper()
+	path := filepath.Join("testdata", "tiny", name+".golden")
+	got := tab.String()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Logf("golden %s not compared on %s", path, runtime.GOARCH)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from its golden; got:\n%s\nwant:\n%s\n(run with -update only for an intended change)", path, got, want)
+	}
+}
 
 func TestFig4Friends(t *testing.T) {
 	tab, err := Fig4Friends(Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig4", tab)
 	// 7 friend counts x (3 Vitis patterns + 1 RVR row).
 	if len(tab.Rows) != 7*4 {
 		t.Fatalf("got %d rows", len(tab.Rows))
@@ -29,6 +69,7 @@ func TestFig5OverheadDist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig5", tab)
 	if len(tab.Rows) != 10 {
 		t.Fatalf("got %d rows, want 10 bins", len(tab.Rows))
 	}
@@ -56,6 +97,7 @@ func TestFig6TableSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig6", tab)
 	if len(tab.Rows) != 5*4 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -66,6 +108,7 @@ func TestFig7PubRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig7", tab)
 	if len(tab.Rows) != 5*4 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -76,6 +119,7 @@ func TestFig8TwitterDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig8", tab)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty degree table")
 	}
@@ -89,6 +133,7 @@ func TestFig9TwitterSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig9", tab)
 	if len(tab.Rows) != 7 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -102,6 +147,7 @@ func TestFig10Twitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig10", tab)
 	if len(tab.Rows) != 5*3 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -118,6 +164,7 @@ func TestFig11OPTDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig11", tab)
 	if len(tab.Rows) != 10 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -134,6 +181,7 @@ func TestFig12Churn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "fig12", tab)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty churn table")
 	}
@@ -151,6 +199,7 @@ func TestDelayScalingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "delay-scaling", tab)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -164,6 +213,7 @@ func TestGatewayThresholdAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "gateway-threshold", tab)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -177,6 +227,7 @@ func TestRateAwarenessAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "rate-awareness", tab)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -195,6 +246,7 @@ func TestProximityAwarenessAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "proximity-awareness", tab)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -220,6 +272,7 @@ func TestClusterAnalysisAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "cluster-analysis", tab)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -249,6 +302,7 @@ func TestControlTrafficAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "control-traffic", tab)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}
@@ -280,6 +334,7 @@ func TestLossResilienceAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "loss-resilience", tab)
 	if len(tab.Rows) != 8 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}

@@ -16,6 +16,7 @@ func TestOfflineCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTiny(t, "offline-catchup", tab)
 	// 3 offline fractions x {catch-up off, on}.
 	if len(tab.Rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(tab.Rows))

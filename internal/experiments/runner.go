@@ -13,6 +13,7 @@ import (
 	"vitis/internal/idspace"
 	"vitis/internal/metrics"
 	"vitis/internal/opt"
+	"vitis/internal/ring"
 	"vitis/internal/rvr"
 	"vitis/internal/simnet"
 	"vitis/internal/workload"
@@ -45,33 +46,65 @@ func (s System) String() string {
 	}
 }
 
-// pubsubNode abstracts the three node implementations for the runner.
-type pubsubNode interface {
+// node abstracts the three node implementations for the runner and the
+// churn driver: membership, publishing with a comparable event key, and
+// the routing-table degree.
+type node interface {
 	ID() simnet.NodeID
 	Subscribe(t idspace.ID)
 	Subscribed(t idspace.ID) bool
 	Join(bootstrap []simnet.NodeID)
 	Leave()
 	Alive() bool
-}
-
-// publisher lets the runner publish through any system and obtain a
-// comparable event key.
-type publisher interface {
 	publish(t idspace.ID) any
+	degree() int
 }
 
 type vitisNode struct{ *core.Node }
 
 func (n vitisNode) publish(t idspace.ID) any { return n.Node.Publish(t) }
+func (n vitisNode) degree() int              { return len(n.RoutingTable()) }
 
 type rvrNode struct{ *rvr.Node }
 
 func (n rvrNode) publish(t idspace.ID) any { return n.Node.Publish(t) }
+func (n rvrNode) degree() int              { return len(n.RoutingTable()) }
 
 type optNode struct{ *opt.Node }
 
 func (n optNode) publish(t idspace.ID) any { return n.Node.Publish(t) }
+func (n optNode) degree() int              { return n.Degree() }
+
+// newNode builds node id of system sys, reporting to col: the one place the
+// runner and the churn driver configure the three systems. netSize is the
+// Symphony network-size estimate; the other knobs are RunConfig's (zero =
+// package defaults). Vitis's rate and proximity setup stays with the runner.
+func newNode(sys System, net *simnet.Network, id simnet.NodeID, col *metrics.Oracle, netSize, rtSize, swLinks, gatewayHops, optMaxDegree int) node {
+	deliver := func(at simnet.NodeID, _ idspace.ID, ev ring.EventID, hops int) {
+		col.Deliver(ev, at, hops)
+	}
+	notify := func(at simnet.NodeID, _ idspace.ID, interested bool) {
+		col.Notification(at, interested)
+	}
+	switch sys {
+	case Vitis:
+		return vitisNode{core.NewNode(net, id, core.Params{
+			RTSize:              rtSize,
+			SWLinks:             swLinks,
+			GatewayHops:         gatewayHops,
+			NetworkSizeEstimate: netSize,
+		}, core.Hooks{OnDeliver: deliver, OnNotification: notify})}
+	case RVR:
+		return rvrNode{rvr.NewNode(net, id, rvr.Params{
+			RTSize:              rtSize,
+			NetworkSizeEstimate: netSize,
+		}, rvr.Hooks{OnDeliver: deliver, OnNotification: notify})}
+	default:
+		return optNode{opt.NewNode(net, id, opt.Params{
+			MaxDegree: optMaxDegree,
+		}, opt.Hooks{OnDeliver: deliver, OnNotification: notify})}
+	}
+}
 
 // RunConfig describes one simulation run.
 type RunConfig struct {
@@ -200,6 +233,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Subs == nil {
 		return nil, fmt.Errorf("experiments: RunConfig.Subs is required")
 	}
+	if cfg.System < Vitis || cfg.System > OPT {
+		return nil, fmt.Errorf("experiments: unknown system %v", cfg.System)
+	}
 	n := cfg.Subs.Nodes
 	eng := simnet.NewEngine(cfg.Seed + 1)
 
@@ -242,34 +278,15 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		rateFn = func(t idspace.ID) float64 { return rateByID[t] }
 	}
 
-	nodes := make([]pubsubNode, n)
-	pubs := make([]publisher, n)
-	deliver := func(node simnet.NodeID, _ idspace.ID, ev any, hops int) {
-		col.Deliver(ev, node, hops)
-	}
-	notify := func(node simnet.NodeID, _ idspace.ID, interested bool) {
-		col.Notification(node, interested)
-	}
-
+	nodes := make([]node, n)
 	for i := 0; i < n; i++ {
-		switch cfg.System {
-		case Vitis:
-			nd := core.NewNode(net, nids[i], core.Params{
-				RTSize:              cfg.RTSize,
-				SWLinks:             cfg.SWLinks,
-				GatewayHops:         cfg.GatewayHops,
-				NetworkSizeEstimate: n,
-			}, core.Hooks{
-				OnDeliver: func(node core.NodeID, topic core.TopicID, ev core.EventID, hops int) {
-					deliver(node, topic, ev, hops)
-				},
-				OnNotification: notify,
-			})
-			nd.SetRate(rateFn)
+		nodes[i] = newNode(cfg.System, net, nids[i], col, n, cfg.RTSize, cfg.SWLinks, cfg.GatewayHops, cfg.OPTMaxDegree)
+		if v, ok := nodes[i].(vitisNode); ok {
+			v.SetRate(rateFn)
 			if cfg.UseCoordinates && cfg.ProximityWeight > 0 {
 				self := coords[nids[i]]
 				maxDist := extent * 1.5 // diagonal, roughly
-				nd.SetProximity(func(peer core.NodeID) float64 {
+				v.SetProximity(func(peer core.NodeID) float64 {
 					pc, ok := coords[peer]
 					if !ok {
 						return 0
@@ -277,30 +294,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 					return 1 - self.Distance(pc)/maxDist
 				}, cfg.ProximityWeight)
 			}
-			nodes[i], pubs[i] = vitisNode{nd}, vitisNode{nd}
-		case RVR:
-			nd := rvr.NewNode(net, nids[i], rvr.Params{
-				RTSize:              cfg.RTSize,
-				NetworkSizeEstimate: n,
-			}, rvr.Hooks{
-				OnDeliver: func(node rvr.NodeID, topic rvr.TopicID, ev rvr.EventID, hops int) {
-					deliver(node, topic, ev, hops)
-				},
-				OnNotification: notify,
-			})
-			nodes[i], pubs[i] = rvrNode{nd}, rvrNode{nd}
-		case OPT:
-			nd := opt.NewNode(net, nids[i], opt.Params{
-				MaxDegree: cfg.OPTMaxDegree,
-			}, opt.Hooks{
-				OnDeliver: func(node opt.NodeID, topic opt.TopicID, ev opt.EventID, hops int) {
-					deliver(node, topic, ev, hops)
-				},
-				OnNotification: notify,
-			})
-			nodes[i], pubs[i] = optNode{nd}, optNode{nd}
-		default:
-			return nil, fmt.Errorf("experiments: unknown system %v", cfg.System)
 		}
 		for _, ti := range cfg.Subs.Subs[i] {
 			nodes[i].Subscribe(tids[ti])
@@ -344,7 +337,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 					expected = append(expected, nids[si])
 				}
 			}
-			ev := pubs[p.Publisher].publish(topic)
+			ev := nodes[p.Publisher].publish(topic)
 			col.RecordPublish(ev, topic, eng.Now(), expected)
 			// The publisher's own delivery hook fired inside publish,
 			// before the event was registered; re-record it.
@@ -379,14 +372,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		cfg.InspectVitis(impl)
 	}
 	for _, nd := range nodes {
-		switch v := nd.(type) {
-		case vitisNode:
-			res.Degrees = append(res.Degrees, len(v.RoutingTable()))
-		case rvrNode:
-			res.Degrees = append(res.Degrees, len(v.RoutingTable()))
-		case optNode:
-			res.Degrees = append(res.Degrees, v.Degree())
-		}
+		res.Degrees = append(res.Degrees, nd.degree())
 	}
 	return res, nil
 }

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"vitis/internal/idspace"
+	"vitis/internal/ring"
 	"vitis/internal/sampling"
 	"vitis/internal/simnet"
 	"vitis/internal/tman"
@@ -32,11 +33,9 @@ type (
 	TopicID = idspace.ID
 )
 
-// EventID uniquely identifies a published event.
-type EventID struct {
-	Publisher NodeID
-	Seq       uint64
-}
+// EventID uniquely identifies a published event (the shared substrate's
+// type).
+type EventID = ring.EventID
 
 // Params configure an OPT node.
 type Params struct {
@@ -118,36 +117,34 @@ type Node struct {
 
 	sampler *sampling.Service
 	xchg    *tman.Exchanger
-	ages    map[NodeID]int
+	live    *ring.Liveness // neighbor ages and tombstones for detected-dead nodes
 
 	profiles  map[NodeID][]TopicID   // neighbor -> sorted subs
 	reverse   map[NodeID]simnet.Time // reverse-neighbor expiry
 	knownSubs map[NodeID][]TopicID   // gossip-learned subs of non-neighbors
-	suspects  map[NodeID]simnet.Time // tombstones for detected-dead nodes
 
-	seen       *seenSet
-	seenRounds int
-	pubSeq     uint64
+	seen   *ring.Seen
+	pubSeq uint64
 
 	stopped bool
 }
 
 // NewNode creates an OPT node; call Join to start it.
 func NewNode(net *simnet.Network, id NodeID, params Params, hooks Hooks) *Node {
+	p := params.WithDefaults()
 	return &Node{
 		id:        id,
 		net:       net,
 		eng:       net.Engine(),
-		params:    params.WithDefaults(),
+		params:    p,
 		rng:       net.Engine().DeriveRNG(int64(id) ^ 0x4f50), // distinct stream per system
 		hooks:     hooks,
 		subs:      make(map[TopicID]bool),
-		ages:      make(map[NodeID]int),
+		live:      ring.NewLiveness(p.StaleAge, p.HeartbeatPeriod),
 		profiles:  make(map[NodeID][]TopicID),
 		reverse:   make(map[NodeID]simnet.Time),
 		knownSubs: make(map[NodeID][]TopicID),
-		suspects:  make(map[NodeID]simnet.Time),
-		seen:      newSeenSet(),
+		seen:      ring.NewSeen(),
 	}
 }
 
@@ -169,21 +166,12 @@ func (n *Node) Join(bootstrap []NodeID) {
 	n.sampler = sampling.New(n.net, n.id,
 		sampling.Config{ViewSize: n.params.SamplerViewSize, Period: n.params.GossipPeriod},
 		bootstrap, n.rng)
-	boot := make([]tman.Descriptor, 0, len(bootstrap))
-	for _, id := range bootstrap {
-		boot = append(boot, tman.Descriptor{ID: id})
-	}
 	n.xchg = tman.New(n.net, n.id, n.params.GossipPeriod, tman.Callbacks{
 		SelfDescriptor: func() tman.Descriptor {
 			return tman.Descriptor{ID: n.id, Payload: subsSummary(n.sortedSubs())}
 		},
 		SampleNodes: func() []tman.Descriptor {
-			ids := n.sampler.Sample(n.params.SampleSize)
-			out := make([]tman.Descriptor, 0, len(ids))
-			for _, id := range ids {
-				out = append(out, tman.Descriptor{ID: id})
-			}
-			return out
+			return ring.Descriptors(n.sampler.Sample(n.params.SampleSize))
 		},
 		SelectNeighbors: n.selectNeighbors,
 		// SpiderCast assumes broad membership knowledge (≥5% of the
@@ -191,7 +179,7 @@ func (n *Node) Join(bootstrap []NodeID) {
 		// peers keeps subscription knowledge flowing between otherwise
 		// closed interest cliques.
 		SamplePeerProb: 0.3,
-	}, boot, n.rng)
+	}, ring.Descriptors(bootstrap), n.rng)
 	n.sampler.Start()
 	n.xchg.Start()
 	n.eng.Every(n.params.HeartbeatPeriod, func() bool {
@@ -235,7 +223,7 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 	now := n.eng.Now()
 	cands := make([]cand, 0, len(buffer))
 	for _, d := range buffer {
-		if until, suspect := n.suspects[d.ID]; suspect && until > now {
+		if n.live.Suspected(d.ID, now) {
 			continue
 		}
 		if s, ok := d.Payload.(subsSummary); ok {
@@ -319,7 +307,7 @@ func (n *Node) dispatch(from NodeID, msg simnet.Message) {
 	if n.stopped {
 		return
 	}
-	delete(n.suspects, from) // any message proves liveness
+	n.live.Unsuspect(from) // any message proves liveness
 	if n.sampler.HandleMessage(from, msg) {
 		return
 	}
@@ -337,32 +325,10 @@ func (n *Node) dispatch(from NodeID, msg simnet.Message) {
 func (n *Node) heartbeat() {
 	now := n.eng.Now()
 	subs := n.sortedSubs()
-	for _, d := range n.xchg.RT() {
-		n.ages[d.ID]++
-		if n.ages[d.ID] > n.params.StaleAge {
-			n.xchg.Remove(d.ID)
-			delete(n.ages, d.ID)
-			delete(n.profiles, d.ID)
-			n.suspects[d.ID] = now + 3*simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
-			continue
-		}
-		n.net.Send(n.id, d.ID, ProfileMsg{Subs: subs})
-	}
-	for id, until := range n.suspects {
-		if until <= now {
-			delete(n.suspects, id)
-		}
-	}
-	n.seenRounds++
-	if n.seenRounds >= 30 { // same rotation policy as internal/core
-		n.seenRounds = 0
-		n.seen.rotate()
-	}
-	for id := range n.ages {
-		if !n.xchg.Contains(id) {
-			delete(n.ages, id)
-		}
-	}
+	n.live.Beat(n.xchg, now, func(id NodeID) { delete(n.profiles, id) }, func(id NodeID) {
+		n.net.Send(n.id, id, ProfileMsg{Subs: subs})
+	})
+	n.seen.Tick()
 	for id, exp := range n.reverse {
 		if exp <= now {
 			delete(n.reverse, id)
@@ -377,7 +343,7 @@ func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 	n.profiles[from] = m.Subs
 	n.reverse[from] = n.eng.Now() + simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
 	if n.xchg.Contains(from) {
-		n.ages[from] = 0
+		n.live.Heard(from)
 		n.xchg.UpdatePayload(from, subsSummary(m.Subs))
 	}
 	if !m.Reply {
@@ -389,7 +355,7 @@ func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 func (n *Node) Publish(t TopicID) EventID {
 	ev := EventID{Publisher: n.id, Seq: n.pubSeq}
 	n.pubSeq++
-	n.seen.add(ev)
+	n.seen.Add(ev)
 	if n.subs[t] && n.hooks.OnDeliver != nil {
 		n.hooks.OnDeliver(n.id, t, ev, 0)
 	}
@@ -401,10 +367,10 @@ func (n *Node) handleNotification(from NodeID, m Notification) {
 	if n.hooks.OnNotification != nil {
 		n.hooks.OnNotification(n.id, m.Topic, n.subs[m.Topic])
 	}
-	if n.seen.has(m.Event) {
+	if n.seen.Has(m.Event) {
 		return
 	}
-	n.seen.add(m.Event)
+	n.seen.Add(m.Event)
 	if n.subs[m.Topic] && n.hooks.OnDeliver != nil {
 		n.hooks.OnDeliver(n.id, m.Topic, m.Event, m.Hops)
 	}
@@ -418,40 +384,30 @@ func (n *Node) handleNotification(from NodeID, m Notification) {
 // arises.
 func (n *Node) forward(t TopicID, ev EventID, hops int, exclude NodeID) {
 	now := n.eng.Now()
-	targets := make(map[NodeID]bool)
-	consider := func(id NodeID) {
-		subs, ok := n.profiles[id]
-		if !ok {
-			if d, found := n.payloadOf(id); found {
-				subs = d
-				ok = true
-			}
-		}
-		if !ok {
-			return
-		}
-		if containsTopic(subs, t) {
-			targets[id] = true
-		}
-	}
+	var ids []NodeID
 	for _, d := range n.xchg.RT() {
-		consider(d.ID)
+		if n.interested(d.ID, t) {
+			ids = append(ids, d.ID)
+		}
 	}
 	for id, exp := range n.reverse {
-		if exp > now {
-			consider(id)
+		if exp > now && n.interested(id, t) {
+			ids = append(ids, id)
 		}
 	}
-	delete(targets, exclude)
-	delete(targets, n.id)
-	ids := make([]NodeID, 0, len(targets))
-	for id := range targets {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range ring.Fanout(ids, exclude, n.id) {
 		n.net.Send(n.id, id, Notification{Topic: t, Event: ev, Hops: hops + 1})
 	}
+}
+
+// interested reports whether id's known subscriptions — its profile, else
+// its routing-table descriptor's payload — include t.
+func (n *Node) interested(id NodeID, t TopicID) bool {
+	subs, ok := n.profiles[id]
+	if !ok {
+		subs, ok = n.payloadOf(id)
+	}
+	return ok && containsTopic(subs, t)
 }
 
 func (n *Node) payloadOf(id NodeID) ([]TopicID, bool) {
@@ -485,11 +441,4 @@ func (n *Node) sortedSubs() []TopicID {
 func (n *Node) Degree() int { return len(n.xchg.RT()) }
 
 // RoutingTable exposes the table for tests.
-func (n *Node) RoutingTable() []NodeID {
-	rt := n.xchg.RT()
-	out := make([]NodeID, len(rt))
-	for i, d := range rt {
-		out[i] = d.ID
-	}
-	return out
-}
+func (n *Node) RoutingTable() []NodeID { return ring.IDs(n.xchg.RTRef()) }

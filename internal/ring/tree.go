@@ -1,0 +1,177 @@
+package ring
+
+import (
+	"math"
+	"slices"
+
+	"vitis/internal/idspace"
+	"vitis/internal/simnet"
+	"vitis/internal/tman"
+)
+
+// Tree is one topic's soft state on lookup paths toward hash(topic): a
+// Vitis relay path (§III-B) or an RVR multicast tree. Every role is a
+// lease — the parent one greedy hop closer to the rendezvous node, the
+// children whose lookups passed through us, and the rendezvous role itself
+// — that lives until refreshed or expired. Whether a lookup may register a
+// child at all is the caller's rule, not the tree's.
+type Tree struct {
+	hasParent   bool
+	parent      NodeID
+	parentUntil simnet.Time
+	rendezUntil simnet.Time
+	children    map[NodeID]simnet.Time // child -> lease expiry
+
+	// childCache memoizes Children between mutations: dissemination asks
+	// for the child list once per notification, but the set only changes
+	// when a lease is granted or dropped (childCacheValid) or when the
+	// earliest cached lease expires (childCacheUntil).
+	childCache      []NodeID
+	childCacheValid bool
+	childCacheUntil simnet.Time
+}
+
+// LeaseParent makes id the parent until the given time.
+func (t *Tree) LeaseParent(id NodeID, until simnet.Time) {
+	t.hasParent = true
+	t.parent = id
+	t.parentUntil = until
+}
+
+// LeaseRendezvous holds the rendezvous role until the given time.
+func (t *Tree) LeaseRendezvous(until simnet.Time) { t.rendezUntil = until }
+
+// LeaseChild registers id as a child until the given time.
+func (t *Tree) LeaseChild(id NodeID, until simnet.Time) {
+	if t.children == nil {
+		t.children = make(map[NodeID]simnet.Time)
+	}
+	t.children[id] = until
+	t.childCacheValid = false
+}
+
+// Advance is one step of the lookup toward target that refreshes the tree:
+// the next greedy hop from self over rt becomes the parent until the given
+// time and is returned; when no neighbour is closer than self, self holds
+// the rendezvous role until then instead and Advance reports false.
+func (t *Tree) Advance(self NodeID, rt []tman.Descriptor, target idspace.ID, until simnet.Time) (NodeID, bool) {
+	next, ok := NextHop(self, rt, target)
+	if !ok {
+		t.LeaseRendezvous(until)
+		return 0, false
+	}
+	t.LeaseParent(next, until)
+	return next, true
+}
+
+// Parent returns the live parent.
+func (t *Tree) Parent(now simnet.Time) (NodeID, bool) {
+	if t.hasParent && t.parentUntil > now {
+		return t.parent, true
+	}
+	return 0, false
+}
+
+// IsRendezvous reports whether the rendezvous lease is live.
+func (t *Tree) IsRendezvous(now simnet.Time) bool { return t.rendezUntil > now }
+
+// Children returns the live children in ascending order. The slice is owned
+// by the tree (callers copy what they keep) and valid until the next
+// mutation or lease expiry.
+func (t *Tree) Children(now simnet.Time) []NodeID {
+	if t.childCacheValid && now < t.childCacheUntil {
+		return t.childCache
+	}
+	out := t.childCache[:0]
+	until := simnet.Time(math.MaxInt64)
+	for c, exp := range t.children {
+		if exp > now {
+			out = append(out, c)
+			if exp < until {
+				until = exp
+			}
+		}
+	}
+	slices.Sort(out)
+	t.childCache = out
+	t.childCacheValid = true
+	t.childCacheUntil = until
+	return out
+}
+
+// AppendLinks appends the live tree links — parent, then children — to dst.
+func (t *Tree) AppendLinks(dst []NodeID, now simnet.Time) []NodeID {
+	if p, ok := t.Parent(now); ok {
+		dst = append(dst, p)
+	}
+	return append(dst, t.Children(now)...)
+}
+
+// Live reports whether the tree still carries any live lease.
+func (t *Tree) Live(now simnet.Time) bool {
+	if _, ok := t.Parent(now); ok || t.IsRendezvous(now) {
+		return true
+	}
+	for _, exp := range t.children {
+		if exp > now {
+			return true
+		}
+	}
+	return false
+}
+
+// DropPeer forgets a dead peer at once instead of waiting out its leases:
+// as a child, and as the parent, in which case it reports true so the
+// caller can look up a new one.
+func (t *Tree) DropPeer(id NodeID) (wasParent bool) {
+	if t.hasParent && t.parent == id {
+		t.hasParent = false
+		wasParent = true
+	}
+	if _, ok := t.children[id]; ok {
+		delete(t.children, id)
+		t.childCacheValid = false
+	}
+	return wasParent
+}
+
+// Trees holds a node's trees by topic.
+type Trees map[idspace.ID]*Tree
+
+// For returns the topic's tree, creating an empty one.
+func (ts Trees) For(topic idspace.ID) *Tree {
+	t, ok := ts[topic]
+	if !ok {
+		t = &Tree{}
+		ts[topic] = t
+	}
+	return t
+}
+
+// Live reports whether the node holds live state on the topic's tree.
+func (ts Trees) Live(topic idspace.ID, now simnet.Time) bool {
+	t, ok := ts[topic]
+	return ok && t.Live(now)
+}
+
+// Rendezvous reports whether the node is the topic's live rendezvous.
+func (ts Trees) Rendezvous(topic idspace.ID, now simnet.Time) bool {
+	t, ok := ts[topic]
+	return ok && t.IsRendezvous(now)
+}
+
+// Expire drops expired child leases, then every tree left with no live
+// lease.
+func (ts Trees) Expire(now simnet.Time) {
+	for topic, t := range ts {
+		for c, exp := range t.children {
+			if exp <= now {
+				delete(t.children, c)
+				t.childCacheValid = false
+			}
+		}
+		if !t.Live(now) {
+			delete(ts, topic)
+		}
+	}
+}

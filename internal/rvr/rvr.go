@@ -4,9 +4,11 @@
 // solution that builds a multicast tree per topic").
 //
 // For comparability it shares Vitis's substrates — the same peer sampling
-// service and the same T-Man overlay construction — but its neighbor
-// selection is oblivious to subscriptions: one predecessor, one successor
-// and RTSize−2 Symphony-style small-world links. Each subscriber routes a
+// service, the same T-Man overlay construction, and the same ring slots,
+// greedy lookup, soft-state tree, dedup and failure detector
+// (internal/ring) — but its neighbor selection is oblivious to
+// subscriptions: one predecessor, one successor and RTSize−2 Symphony-style
+// small-world links. Each subscriber routes a
 // periodic SUBSCRIBE toward hash(topic); the reverse paths form a soft-state
 // multicast tree rooted at the rendezvous node. Published events are routed
 // to the tree and flooded along it, which drags in every relay node on the
@@ -14,11 +16,11 @@
 package rvr
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 
 	"vitis/internal/idspace"
+	"vitis/internal/ring"
 	"vitis/internal/sampling"
 	"vitis/internal/simnet"
 	"vitis/internal/tman"
@@ -32,11 +34,9 @@ type (
 	TopicID = idspace.ID
 )
 
-// EventID uniquely identifies a published event.
-type EventID struct {
-	Publisher NodeID
-	Seq       uint64
-}
+// EventID uniquely identifies a published event (the shared substrate's
+// type).
+type EventID = ring.EventID
 
 // Params mirror core.Params where applicable.
 type Params struct {
@@ -111,30 +111,6 @@ type (
 	Pong struct{}
 )
 
-type treeState struct {
-	hasParent    bool
-	parent       NodeID
-	parentExpiry simnet.Time
-	rendezvous   bool
-	rendezExpiry simnet.Time
-	children     map[NodeID]simnet.Time
-}
-
-func (ts *treeState) live(now simnet.Time) bool {
-	if ts.hasParent && ts.parentExpiry > now {
-		return true
-	}
-	if ts.rendezvous && ts.rendezExpiry > now {
-		return true
-	}
-	for _, exp := range ts.children {
-		if exp > now {
-			return true
-		}
-	}
-	return false
-}
-
 // Node is one RVR participant.
 type Node struct {
 	id     NodeID
@@ -153,40 +129,35 @@ type Node struct {
 	// Reusable hot-path scratch, mirroring internal/core: a node is
 	// single-threaded and transports never deliver re-entrantly, so the
 	// buffers are safely reused across events (see DESIGN.md "Performance").
-	selUsed     map[NodeID]bool
-	selSelected []tman.Descriptor
-	hbIDs       []NodeID
-	spreadIDs   []NodeID
+	slots     ring.Slots
+	spreadIDs []NodeID
 
 	sampler *sampling.Service
 	xchg    *tman.Exchanger
-	ages    map[NodeID]int
-	// suspects tombstone neighbors whose heartbeats timed out so their
-	// stale descriptors are not re-selected from gossip buffers.
-	suspects map[NodeID]simnet.Time
+	// live ages neighbors by their Pongs and tombstones the evicted.
+	live *ring.Liveness
 
-	trees      map[TopicID]*treeState
-	seen       *seenSet
-	seenRounds int
-	pubSeq     uint64
+	trees  ring.Trees
+	seen   *ring.Seen
+	pubSeq uint64
 
 	stopped bool
 }
 
 // NewNode creates an RVR node; call Join to start it.
 func NewNode(net *simnet.Network, id NodeID, params Params, hooks Hooks) *Node {
+	p := params.WithDefaults()
 	return &Node{
-		id:       id,
-		net:      net,
-		eng:      net.Engine(),
-		params:   params.WithDefaults(),
-		rng:      net.Engine().DeriveRNG(int64(id) ^ 0x5256), // distinct stream from a same-id Vitis node
-		hooks:    hooks,
-		subs:     make(map[TopicID]bool),
-		ages:     make(map[NodeID]int),
-		suspects: make(map[NodeID]simnet.Time),
-		trees:    make(map[TopicID]*treeState),
-		seen:     newSeenSet(),
+		id:     id,
+		net:    net,
+		eng:    net.Engine(),
+		params: p,
+		rng:    net.Engine().DeriveRNG(int64(id) ^ 0x5256), // distinct stream from a same-id Vitis node
+		hooks:  hooks,
+		subs:   make(map[TopicID]bool),
+		live:   ring.NewLiveness(p.StaleAge, p.HeartbeatPeriod),
+		trees:  make(ring.Trees),
+		seen:   ring.NewSeen(),
 	}
 }
 
@@ -219,22 +190,13 @@ func (n *Node) Join(bootstrap []NodeID) {
 	n.sampler = sampling.New(n.net, n.id,
 		sampling.Config{ViewSize: n.params.SamplerViewSize, Period: n.params.GossipPeriod},
 		bootstrap, n.rng)
-	boot := make([]tman.Descriptor, 0, len(bootstrap))
-	for _, id := range bootstrap {
-		boot = append(boot, tman.Descriptor{ID: id})
-	}
 	n.xchg = tman.New(n.net, n.id, n.params.GossipPeriod, tman.Callbacks{
 		SelfDescriptor: func() tman.Descriptor { return tman.Descriptor{ID: n.id} },
 		SampleNodes: func() []tman.Descriptor {
-			ids := n.sampler.Sample(n.params.SampleSize)
-			out := make([]tman.Descriptor, 0, len(ids))
-			for _, id := range ids {
-				out = append(out, tman.Descriptor{ID: id})
-			}
-			return out
+			return ring.Descriptors(n.sampler.Sample(n.params.SampleSize))
 		},
 		SelectNeighbors: n.selectNeighbors,
-	}, boot, n.rng)
+	}, ring.Descriptors(bootstrap), n.rng)
 	n.sampler.Start()
 	n.xchg.Start()
 	n.eng.Every(n.params.HeartbeatPeriod, func() bool {
@@ -266,50 +228,26 @@ func (n *Node) Alive() bool { return !n.stopped && n.net.Alive(n.id) }
 // is owned by the node's scratch and valid until the next call; the T-Man
 // exchanger copies what it keeps.
 func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
-	now := n.eng.Now()
-	live := buffer[:0]
-	for _, d := range buffer {
-		if until, suspect := n.suspects[d.ID]; suspect && until > now {
-			continue
-		}
-		live = append(live, d)
-	}
-	buffer = live
+	buffer = n.live.DropSuspects(buffer, n.eng.Now())
 	if len(buffer) == 0 {
 		return nil
 	}
-	if n.selUsed == nil {
-		n.selUsed = make(map[NodeID]bool, n.params.RTSize)
-	}
-	used := n.selUsed
-	clear(used)
-	selected := n.selSelected[:0]
-	if d, ok := argminBy(keySuccessor, n.id, 0, buffer, used); ok {
-		selected = append(selected, d)
-		used[d.ID] = true
-	}
-	if d, ok := argminBy(keyPredecessor, n.id, 0, buffer, used); ok {
-		selected = append(selected, d)
-		used[d.ID] = true
-	}
-	for len(selected) < n.params.RTSize {
-		target := n.id + idspace.ID(harmonicDistance(n.rng, n.params.NetworkSizeEstimate))
-		d, ok := argminBy(keySmallWorld, n.id, target, buffer, used)
-		if !ok {
+	sl := &n.slots
+	sl.Reset()
+	sl.Ring(n.id, buffer)
+	for sl.Len() < n.params.RTSize {
+		if !sl.SmallWorld(n.rng, n.id, n.params.NetworkSizeEstimate, buffer) {
 			break
 		}
-		selected = append(selected, d)
-		used[d.ID] = true
 	}
-	n.selSelected = selected
-	return selected
+	return sl.Selected()
 }
 
 func (n *Node) dispatch(from NodeID, msg simnet.Message) {
 	if n.stopped {
 		return
 	}
-	delete(n.suspects, from) // any message proves liveness
+	n.live.Unsuspect(from) // any message proves liveness
 	if n.sampler.HandleMessage(from, msg) {
 		return
 	}
@@ -324,61 +262,22 @@ func (n *Node) dispatch(from NodeID, msg simnet.Message) {
 	case Ping:
 		n.net.Send(n.id, from, Pong{})
 	case Pong:
-		n.ages[from] = 0
+		n.live.Heard(from)
 	}
 }
 
-// heartbeat prunes dead neighbors, refreshes tree membership for every
-// subscription, and expires tree soft state.
+// heartbeat pings the routing table and prunes dead neighbors, refreshes
+// tree membership for every subscription, and expires tree soft state.
 func (n *Node) heartbeat() {
 	now := n.eng.Now()
-	// Snapshot the table ids into scratch: eviction below mutates the
-	// exchanger's table while we iterate.
-	rt := n.hbIDs[:0]
-	for _, d := range n.xchg.RTRef() {
-		rt = append(rt, d.ID)
-	}
-	n.hbIDs = rt
-	for _, id := range rt {
-		n.ages[id]++
-		if n.ages[id] > n.params.StaleAge {
-			n.xchg.Remove(id)
-			delete(n.ages, id)
-			n.suspects[id] = now + 3*simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
-			continue
-		}
-		n.net.Send(n.id, id, Ping{})
-	}
-	for id, until := range n.suspects {
-		if until <= now {
-			delete(n.suspects, id)
-		}
-	}
-	n.seenRounds++
-	if n.seenRounds >= 30 { // same rotation policy as internal/core
-		n.seenRounds = 0
-		n.seen.rotate()
-	}
-	for id := range n.ages {
-		if !n.xchg.Contains(id) {
-			delete(n.ages, id)
-		}
-	}
+	n.live.Beat(n.xchg, now, nil, func(id NodeID) { n.net.Send(n.id, id, Ping{}) })
+	n.seen.Tick()
 	// Sorted order keeps the message sequence (and thus the run)
 	// deterministic.
 	for _, t := range n.sortedSubs() {
-		n.joinTree(t)
+		n.joinTree(t, n.params.LookupTTL)
 	}
-	for t, ts := range n.trees {
-		for c, exp := range ts.children {
-			if exp <= now {
-				delete(ts.children, c)
-			}
-		}
-		if !ts.live(now) {
-			delete(n.trees, t)
-		}
-	}
+	n.trees.Expire(now)
 }
 
 func (n *Node) sortedSubs() []TopicID {
@@ -394,40 +293,24 @@ func (n *Node) sortedSubs() []TopicID {
 	return n.subsSorted
 }
 
-// joinTree performs one Scribe-style join/refresh step: set the parent to
-// the next greedy hop toward hash(t) and send it a SubscribeMsg.
-func (n *Node) joinTree(t TopicID) {
-	now := n.eng.Now()
-	ts := n.treeFor(t)
-	next, ok := n.closestNeighborTo(t)
-	if !ok {
-		ts.rendezvous = true
-		ts.rendezExpiry = now + n.params.TreeLease
-		return
+// joinTree performs one Scribe-style join/refresh step: lease the next
+// greedy hop toward hash(t) as parent and send it a SubscribeMsg with the
+// given TTL, or hold the rendezvous role if no neighbor is closer.
+func (n *Node) joinTree(t TopicID, ttl int) {
+	next, ok := n.trees.For(t).Advance(n.id, n.xchg.RTRef(), t, n.eng.Now()+n.params.TreeLease)
+	if ok {
+		n.net.Send(n.id, next, SubscribeMsg{Topic: t, TTL: ttl})
 	}
-	ts.hasParent = true
-	ts.parent = next
-	ts.parentExpiry = now + n.params.TreeLease
-	n.net.Send(n.id, next, SubscribeMsg{Topic: t, TTL: n.params.LookupTTL})
 }
 
+// handleSubscribe grafts the sender as a child and passes the join on.
+// Unlike a Vitis relay hop, a lookup whose TTL ran out still grafts its
+// sender: Scribe keeps the partial branch.
 func (n *Node) handleSubscribe(from NodeID, m SubscribeMsg) {
-	now := n.eng.Now()
-	ts := n.treeFor(m.Topic)
-	ts.children[from] = now + n.params.TreeLease
-	if m.TTL <= 0 {
-		return
+	n.trees.For(m.Topic).LeaseChild(from, n.eng.Now()+n.params.TreeLease)
+	if m.TTL > 0 {
+		n.joinTree(m.Topic, m.TTL-1)
 	}
-	next, ok := n.closestNeighborTo(m.Topic)
-	if !ok {
-		ts.rendezvous = true
-		ts.rendezExpiry = now + n.params.TreeLease
-		return
-	}
-	ts.hasParent = true
-	ts.parent = next
-	ts.parentExpiry = now + n.params.TreeLease
-	n.net.Send(n.id, next, SubscribeMsg{Topic: m.Topic, TTL: m.TTL - 1})
 }
 
 // Publish creates an event and routes it toward the topic's rendezvous; the
@@ -435,16 +318,16 @@ func (n *Node) handleSubscribe(from NodeID, m SubscribeMsg) {
 func (n *Node) Publish(t TopicID) EventID {
 	ev := EventID{Publisher: n.id, Seq: n.pubSeq}
 	n.pubSeq++
-	n.seen.add(ev)
+	n.seen.Add(ev)
 	if n.subs[t] && n.hooks.OnDeliver != nil {
 		n.hooks.OnDeliver(n.id, t, ev, 0)
 	}
-	if ts, ok := n.trees[t]; ok && ts.live(n.eng.Now()) {
+	if n.trees.Live(t, n.eng.Now()) {
 		// Publisher already on the tree: disseminate directly.
 		n.spread(t, ev, 0, n.id)
 		return ev
 	}
-	next, ok := n.closestNeighborTo(t)
+	next, ok := ring.NextHop(n.id, n.xchg.RTRef(), t)
 	if !ok {
 		// We are the rendezvous but hold no tree state: no reachable
 		// subscribers yet.
@@ -458,23 +341,22 @@ func (n *Node) handleNotification(from NodeID, m Notification) {
 	if n.hooks.OnNotification != nil {
 		n.hooks.OnNotification(n.id, m.Topic, n.subs[m.Topic])
 	}
-	if n.seen.has(m.Event) {
+	if n.seen.Has(m.Event) {
 		return
 	}
-	n.seen.add(m.Event)
+	n.seen.Add(m.Event)
 	if n.subs[m.Topic] && n.hooks.OnDeliver != nil {
 		n.hooks.OnDeliver(n.id, m.Topic, m.Event, m.Hops)
 	}
 
-	ts, onTree := n.trees[m.Topic]
-	if onTree && ts.live(n.eng.Now()) {
+	if n.trees.Live(m.Topic, n.eng.Now()) {
 		// Reached the multicast tree: flood along it (both directions;
 		// the seen-set stops echoes).
 		n.spread(m.Topic, m.Event, m.Hops, from)
 		return
 	}
 	if m.Routing {
-		next, ok := n.closestNeighborTo(m.Topic)
+		next, ok := ring.NextHop(n.id, n.xchg.RTRef(), m.Topic)
 		if !ok {
 			// Rendezvous without tree state: nobody subscribed via us.
 			return
@@ -492,27 +374,7 @@ func (n *Node) spread(t TopicID, ev EventID, hops int, exclude NodeID) {
 	if !ok {
 		return
 	}
-	now := n.eng.Now()
-	ids := n.spreadIDs[:0]
-	if ts.hasParent && ts.parentExpiry > now {
-		ids = append(ids, ts.parent)
-	}
-	for c, exp := range ts.children {
-		if exp > now {
-			ids = append(ids, c)
-		}
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	w := 0
-	for _, id := range ids {
-		if id == exclude || id == n.id {
-			continue
-		}
-		ids[w] = id
-		w++
-	}
-	ids = ids[:w]
+	ids := ring.Fanout(ts.AppendLinks(n.spreadIDs[:0], n.eng.Now()), exclude, n.id)
 	n.spreadIDs = ids
 	msg := simnet.Message(Notification{Topic: t, Event: ev, Hops: hops + 1})
 	for _, id := range ids {
@@ -520,96 +382,11 @@ func (n *Node) spread(t TopicID, ev EventID, hops int, exclude NodeID) {
 	}
 }
 
-func (n *Node) treeFor(t TopicID) *treeState {
-	ts, ok := n.trees[t]
-	if !ok {
-		ts = &treeState{children: make(map[NodeID]simnet.Time)}
-		n.trees[t] = ts
-	}
-	return ts
-}
-
-func (n *Node) closestNeighborTo(target idspace.ID) (NodeID, bool) {
-	best := n.id
-	for _, d := range n.xchg.RTRef() {
-		if idspace.Closer(d.ID, best, target) {
-			best = d.ID
-		}
-	}
-	if best == n.id {
-		return 0, false
-	}
-	return best, true
-}
-
 // RoutingTable exposes the current table for tests.
-func (n *Node) RoutingTable() []NodeID {
-	rt := n.xchg.RT()
-	out := make([]NodeID, len(rt))
-	for i, d := range rt {
-		out[i] = d.ID
-	}
-	return out
-}
+func (n *Node) RoutingTable() []NodeID { return ring.IDs(n.xchg.RTRef()) }
 
 // OnTree reports whether the node holds live tree state for t.
-func (n *Node) OnTree(t TopicID) bool {
-	ts, ok := n.trees[t]
-	return ok && ts.live(n.eng.Now())
-}
+func (n *Node) OnTree(t TopicID) bool { return n.trees.Live(t, n.eng.Now()) }
 
 // IsRendezvous reports live rendezvous state for t.
-func (n *Node) IsRendezvous(t TopicID) bool {
-	ts, ok := n.trees[t]
-	return ok && ts.rendezvous && ts.rendezExpiry > n.eng.Now()
-}
-
-// harmonicDistance and argmin mirror the core implementations; RVR keeps its
-// own copies so the baseline stays self-contained.
-func harmonicDistance(rng *rand.Rand, n int) uint64 {
-	if n < 2 {
-		n = 2
-	}
-	u := rng.Float64()
-	x := math.Pow(float64(n), u-1)
-	d := x * math.Pow(2, 64)
-	if d >= math.MaxUint64 {
-		return math.MaxUint64
-	}
-	if d < 1 {
-		return 1
-	}
-	return uint64(d)
-}
-
-// argmin key modes for the table slots; a switch on kind instead of a key
-// closure keeps the per-round selection free of closure allocations.
-const (
-	keySuccessor = iota
-	keyPredecessor
-	keySmallWorld
-)
-
-func argminBy(kind int, self, target idspace.ID, buffer []tman.Descriptor, used map[NodeID]bool) (tman.Descriptor, bool) {
-	var best tman.Descriptor
-	bestKey := uint64(math.MaxUint64)
-	found := false
-	for _, d := range buffer {
-		if used[d.ID] {
-			continue
-		}
-		var k uint64
-		switch kind {
-		case keySuccessor:
-			k = idspace.CWDistance(self, d.ID)
-		case keyPredecessor:
-			k = idspace.CWDistance(d.ID, self)
-		default:
-			k = idspace.Distance(d.ID, target)
-		}
-		if !found || k < bestKey || (k == bestKey && d.ID < best.ID) {
-			best, bestKey, found = d, k, true
-		}
-	}
-	return best, found
-}
+func (n *Node) IsRendezvous(t TopicID) bool { return n.trees.Rendezvous(t, n.eng.Now()) }

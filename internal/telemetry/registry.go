@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -160,4 +162,31 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// ParseText parses a Prometheus text exposition, the inverse of
+// WritePrometheus, into sample values keyed by sample name. Labelled
+// samples keep their labels verbatim in the key (`h_bucket{le="0.5"}`),
+// the keying Collector reconstructs histograms from. Blank and comment
+// lines are skipped; every other line must be "name value", and the first
+// that is not is an error.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	out := make(map[string]float64)
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			return nil, fmt.Errorf("telemetry: exposition line %d %q: want \"name value\"", n, line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: exposition line %d %q: %w", n, line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out, sc.Err()
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -172,5 +173,74 @@ func TestTransportMetricsRegistered(t *testing.T) {
 	}
 	if !strings.Contains(out, "vitis_host_inbox_depth 2\n") {
 		t.Errorf("missing host gauge:\n%s", out)
+	}
+}
+
+// TestParseTextRoundTrip: everything WritePrometheus renders — counters,
+// gauges, func metrics, histogram buckets, sums and counts — parses back
+// to the registry's own samples, value for value.
+func TestParseTextRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total", "a counter").Add(41)
+	r.Gauge("g", "").Set(-7)
+	r.CounterFunc("cf_total", "a func counter", func() float64 { return 1e12 })
+	r.GaugeFunc("gf", "a func gauge", func() float64 { return 0.1 })
+	h := r.Histogram("h_seconds", "a histogram", 0.001, 0.5, 2)
+	for _, v := range []float64{0.0004, 0.3, 0.3, 1.5, 40} {
+		h.Observe(v)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Snapshot()
+	if len(got) != len(want) {
+		t.Errorf("parsed %d samples, registry holds %d", len(got), len(want))
+	}
+	for _, s := range want {
+		if v, ok := got[s.Name]; !ok || v != s.Value {
+			t.Errorf("sample %s = %v,%v after the round trip, want %v", s.Name, v, ok, s.Value)
+		}
+	}
+}
+
+// TestParseTextKeepsLabeledSamples: histogram bucket samples carry a
+// {le=...} label and must survive parsing under their full name instead of
+// being dropped.
+func TestParseTextKeepsLabeledSamples(t *testing.T) {
+	body := "# TYPE h histogram\n" +
+		"h_bucket{le=\"0.5\"} 3\n" +
+		"h_bucket{le=\"+Inf\"} 7\n" +
+		"h_sum 2.5\n" +
+		"h_count 7\n" +
+		"\n" +
+		"plain_total 11\n"
+	m, err := ParseText(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m[`h_bucket{le="0.5"}`] != 3 || m[`h_bucket{le="+Inf"}`] != 7 {
+		t.Fatalf("labeled samples dropped: %v", m)
+	}
+	if m["h_sum"] != 2.5 || m["plain_total"] != 11 {
+		t.Fatalf("plain samples mangled: %v", m)
+	}
+}
+
+// TestParseTextRejectsMalformedLine: a line that is neither a comment nor
+// "name value" is an error naming the line, not a silently missing sample.
+func TestParseTextRejectsMalformedLine(t *testing.T) {
+	for _, body := range []string{
+		"ok_total 1\nbroken\n",
+		"ok_total 1\nbad_total one\n",
+		" 5\n",
+	} {
+		if m, err := ParseText(strings.NewReader(body)); err == nil {
+			t.Errorf("ParseText(%q) = %v, want an error", body, m)
+		}
 	}
 }
