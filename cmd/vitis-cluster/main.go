@@ -440,7 +440,7 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 
 	start := time.Now()
 	bs, err := startProc(bin, "-role", "bootstrap", "-listen", "127.0.0.1:0",
-		"-seed", "1", "-period-ms", strconv.FormatInt(cfg.periodMs, 10), "-want", "8")
+		"-seed", "1", "-period-ms", strconv.FormatInt(cfg.periodMs, 10))
 	if err != nil {
 		return nil, err
 	}
@@ -865,7 +865,6 @@ func printTable(out io.Writer, ms []map[string]float64, rows []string) {
 
 // benchFile is the -bench-out JSON document.
 type benchFile struct {
-	PR          string   `json:"pr"`
 	Command     string   `json:"command"`
 	Environment string   `json:"environment"`
 	Results     *summary `json:"results"`
@@ -886,7 +885,6 @@ func writeBench(cfg clusterConfig, s *summary) error {
 			"offline_nodes subscribers were down for the whole publish window and rejoined afterwards; their deliveries all came through store-backed catch-up, so the delivery ratio measures completeness over the full subscriber set")
 	}
 	doc := benchFile{
-		PR:          "durable event store with offline-subscriber catch-up",
 		Command:     cmd,
 		Environment: fmt.Sprintf("%d CPU, %s/%s, %s", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, runtime.Version()),
 		Results:     s,

@@ -35,6 +35,11 @@ func (m JoinResp) WireSize() int { return 2 + 8*len(m.Peers) }
 // WireSize implements simnet.Sized.
 func (m Announce) WireSize() int { return 1 }
 
+// maxWant caps the peers one JoinReq is answered with. Want is an untrusted
+// integer off the wire, and without the cap one small datagram would have
+// the whole registry sent to whatever address its envelope names.
+const maxWant = 32
+
 // Config parameterises the service.
 type Config struct {
 	// MaxPeers bounds the registry (default 1024).
@@ -113,11 +118,13 @@ func (s *Service) gc(now simnet.Time) {
 	}
 }
 
-// sample returns up to want random live registrations, excluding the asker.
+// sample returns up to want (at most maxWant) random live registrations,
+// excluding the asker.
 func (s *Service) sample(asker simnet.NodeID, want int) []simnet.NodeID {
 	if want <= 0 {
 		want = s.cfg.DefaultWant
 	}
+	want = min(want, maxWant)
 	now := s.net.Engine().Now()
 	s.gc(now)
 	ids := make([]simnet.NodeID, 0, len(s.expiry))

@@ -77,6 +77,18 @@ func TestSampleBoundedByWant(t *testing.T) {
 	}
 }
 
+// TestSampleBoundedByMaxWant: a JoinReq asking for more peers than maxWant,
+// as a hostile datagram may, gets exactly maxWant of them.
+func TestSampleBoundedByMaxWant(t *testing.T) {
+	eng, net, _ := setup(t, Config{Lease: simnet.Hour})
+	for i := simnet.NodeID(100); i < 100+maxWant+8; i++ {
+		join(t, eng, net, i, 3)
+	}
+	if peers := join(t, eng, net, 200, 1<<30); len(peers) != maxWant {
+		t.Errorf("got %d peers, want maxWant = %d", len(peers), maxWant)
+	}
+}
+
 func TestWantZeroUsesDefault(t *testing.T) {
 	eng, net, _ := setup(t, Config{DefaultWant: 2})
 	for i := simnet.NodeID(100); i < 110; i++ {

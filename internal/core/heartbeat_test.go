@@ -32,7 +32,7 @@ func TestFailureDetectionRemovesDeadNeighbor(t *testing.T) {
 		t.Fatal("victim not in anyone's table before dying")
 	}
 	victim.Leave()
-	// StaleAge=5 heartbeats plus slack; also T-Man keeps re-selecting, so
+	// ring.StaleAge = 5 heartbeats plus slack; also T-Man keeps re-selecting, so
 	// the dead id must vanish everywhere.
 	c.run(15 * simnet.Second)
 	for _, nd := range c.nodes {
@@ -87,7 +87,7 @@ func TestReverseNeighborExpires(t *testing.T) {
 	if !n.isClusterNeighbor(300) {
 		t.Fatal("reverse neighbor missing")
 	}
-	// StaleAge * HeartbeatPeriod = 5s lease; heartbeats prune it.
+	// ring.StaleAge * HeartbeatPeriod = 5s lease; heartbeats prune it.
 	eng.RunUntil(10 * simnet.Second)
 	if n.isClusterNeighbor(300) {
 		t.Error("reverse neighbor survived expiry")

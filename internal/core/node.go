@@ -134,6 +134,9 @@ type Node struct {
 	pulling     map[EventID]*pullState
 	pullWaiters map[EventID][]NodeID
 	wantPayload map[EventID]bool
+	// pullAttempts bounds the sends of one pull: pullMaxAttempts, which
+	// tests may lower.
+	pullAttempts int
 
 	// relayTTLExhausted counts relay lookups that died here because their
 	// TTL ran out before reaching the rendezvous node (§III-B).
@@ -154,7 +157,7 @@ func NewNode(net simnet.Net, id NodeID, params Params, hooks Hooks) *Node {
 		params:      p,
 		hooks:       hooks,
 		subs:        make(map[TopicID]bool),
-		live:        ring.NewLiveness(p.StaleAge, p.HeartbeatPeriod),
+		live:        ring.NewLiveness(p.HeartbeatPeriod),
 		profiles:    make(map[NodeID]*Profile),
 		reverse:     make(map[NodeID]simnet.Time),
 		knownSubs:   make(map[NodeID][]TopicID),
@@ -180,6 +183,7 @@ func NewNode(net simnet.Net, id NodeID, params Params, hooks Hooks) *Node {
 		n.now = func() int64 { return int64(eng.Now()) }
 	}
 	n.store = hooks.Store
+	n.pullAttempts = pullMaxAttempts
 	n.rng = net.Engine().DeriveRNG(int64(id))
 	if p.Recovery {
 		n.digests = make(map[NodeID]uint64)
@@ -259,11 +263,7 @@ func (n *Node) Join(bootstrap []NodeID) {
 	n.net.Attach(n.id, simnet.HandlerFunc(n.dispatch))
 
 	n.sampler = sampling.New(n.net, n.id,
-		sampling.Config{
-			ViewSize: n.params.SamplerViewSize,
-			Period:   n.params.GossipPeriod,
-			Metrics:  &n.tel.Sampler,
-		},
+		sampling.Config{Period: n.params.GossipPeriod, Metrics: &n.tel.Sampler},
 		bootstrap, n.rng)
 
 	n.xchg = tman.New(n.net, n.id, n.params.GossipPeriod, tman.Callbacks{
@@ -271,7 +271,7 @@ func (n *Node) Join(bootstrap []NodeID) {
 			return tman.Descriptor{ID: n.id, Payload: n.buildProfile().Summary()}
 		},
 		SampleNodes: func() []tman.Descriptor {
-			return ring.Descriptors(n.sampler.Sample(n.params.SampleSize))
+			return ring.Descriptors(n.sampler.Sample(sampling.SampleSize))
 		},
 		SelectNeighbors: n.selectNeighbors,
 		Metrics:         &n.tel.TMan,
@@ -470,7 +470,7 @@ func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 	} else if m.Digest != 0 && n.params.Recovery {
 		want = n.digests[from] != m.Digest
 	}
-	n.reverse[from] = n.eng.Now() + simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
+	n.reverse[from] = n.eng.Now() + ring.StaleAge*n.params.HeartbeatPeriod
 	inTable := n.xchg.Contains(from)
 	if inTable {
 		n.live.Heard(from)

@@ -38,9 +38,12 @@ type (
 // Topic hashes a topic name into the identifier space.
 func Topic(name string) TopicID { return idspace.HashString(name) }
 
-// Params are the protocol constants. Zero values take the paper's defaults
-// (§IV-A): routing table of 15, k = 1 small-world link (plus predecessor and
-// successor), gateway hop threshold d = 5, one-second gossip rounds.
+// Params are the protocol values a caller may set. Zero values take the
+// paper's defaults (§IV-A): routing table of 15, k = 1 small-world link (plus
+// predecessor and successor), gateway hop threshold d = 5, one-second gossip
+// rounds. The values the paper fixes are constants next to the code that
+// uses them: ring.StaleAge, ring.LookupTTL, ring.LeaseBeats,
+// sampling.ViewSize and sampling.SampleSize, and the pull retry in pull.go.
 type Params struct {
 	// RTSize bounds the routing table (paper default 15).
 	RTSize int
@@ -54,24 +57,9 @@ type Params struct {
 	// GossipPeriod is δt for the T-Man routing-table exchange.
 	GossipPeriod simnet.Time
 	// HeartbeatPeriod is δt for the profile exchange (Algorithm 6), which
-	// also drives gateway election and relay refresh.
+	// also drives gateway election and relay refresh. Relay leases, the
+	// reverse-neighbor lease and the pull retry are multiples of it.
 	HeartbeatPeriod simnet.Time
-	// StaleAge is the number of missed heartbeats after which a neighbor
-	// is removed from the routing table (§III-D).
-	StaleAge int
-	// RelayLease is how long relay-path soft state survives without a
-	// refresh from a gateway lookup.
-	RelayLease simnet.Time
-	// LookupTTL caps greedy lookup lengths as a safety net while the ring
-	// is still converging.
-	LookupTTL int
-	// PullRetryPeriod is how long a payload pull waits for its PullResp
-	// before the heartbeat resends the PullReq (loss recovery for the
-	// §III-C pull phase).
-	PullRetryPeriod simnet.Time
-	// PullMaxAttempts bounds how many times one pull's PullReq is sent in
-	// total before the pull is abandoned.
-	PullMaxAttempts int
 	// Recovery enables the extensions a real deployment runs beyond the
 	// paper's protocol. Failure recovery beyond the baseline self-healing
 	// (§III-D): immediate relay-path repair when a relay parent is
@@ -99,9 +87,6 @@ type Params struct {
 	AntiEntropyRounds int
 	// NetworkSizeEstimate is N in the Symphony harmonic distance draw.
 	NetworkSizeEstimate int
-	// SamplerViewSize and SampleSize configure the peer sampling layer.
-	SamplerViewSize int
-	SampleSize      int
 }
 
 // WithDefaults returns p with zero fields replaced by the paper defaults.
@@ -121,23 +106,6 @@ func (p Params) WithDefaults() Params {
 	if p.HeartbeatPeriod == 0 {
 		p.HeartbeatPeriod = simnet.Second
 	}
-	if p.StaleAge == 0 {
-		p.StaleAge = 5
-	}
-	if p.RelayLease == 0 {
-		p.RelayLease = 4 * p.HeartbeatPeriod
-	}
-	if p.LookupTTL == 0 {
-		p.LookupTTL = 64
-	}
-	if p.PullRetryPeriod == 0 {
-		// Several times the worst-case round trip, and phase-shifted from
-		// the heartbeat so a retry fires on the second beat after loss.
-		p.PullRetryPeriod = 3 * p.HeartbeatPeriod / 2
-	}
-	if p.PullMaxAttempts == 0 {
-		p.PullMaxAttempts = 4
-	}
 	if p.ReplayDepth == 0 {
 		p.ReplayDepth = 128
 	}
@@ -149,12 +117,6 @@ func (p Params) WithDefaults() Params {
 	}
 	if p.NetworkSizeEstimate == 0 {
 		p.NetworkSizeEstimate = 10000
-	}
-	if p.SamplerViewSize == 0 {
-		p.SamplerViewSize = 20
-	}
-	if p.SampleSize == 0 {
-		p.SampleSize = 10
 	}
 	return p
 }

@@ -26,6 +26,16 @@ import (
 //     seen-set generations (see Node.heartbeat), so a long-lived node does
 //     not retain every payload ever published.
 
+// pullMaxAttempts bounds how many times one pull's PullReq is sent in total
+// before the pull is abandoned.
+const pullMaxAttempts = 4
+
+// pullRetryPeriod is how long a pull waits for its PullResp before the
+// heartbeat resends the PullReq: several times the worst-case round trip,
+// and phase-shifted from the heartbeat so a retry fires on the second beat
+// after loss.
+func (n *Node) pullRetryPeriod() simnet.Time { return 3 * n.params.HeartbeatPeriod / 2 }
+
 // Pull wire messages.
 type (
 	// PullReq asks the notification sender for an event's payload.
@@ -106,7 +116,7 @@ func (n *Node) startPull(from NodeID, ev EventID) {
 	n.pulling[ev] = &pullState{
 		from:     from,
 		attempts: 1,
-		deadline: n.eng.Now() + n.params.PullRetryPeriod,
+		deadline: n.eng.Now() + n.pullRetryPeriod(),
 	}
 	n.tel.Pulls.Inc()
 	n.tracer.Emit(telemetry.SpanEvent{
@@ -118,7 +128,7 @@ func (n *Node) startPull(from NodeID, ev EventID) {
 
 // retryPulls is the heartbeat's loss recovery for the pull phase: any pull
 // whose deadline passed is resent to the original sender, up to
-// PullMaxAttempts total sends. An exhausted pull abandons its state —
+// pullAttempts total sends. An exhausted pull abandons its state —
 // including queued downstream waiters, whose own retries are their recovery
 // path — so persistent loss cannot pin memory forever.
 func (n *Node) retryPulls(now simnet.Time) {
@@ -142,7 +152,7 @@ func (n *Node) retryPulls(now simnet.Time) {
 	})
 	for _, ev := range expired {
 		ps := n.pulling[ev]
-		if ps.attempts >= n.params.PullMaxAttempts {
+		if ps.attempts >= n.pullAttempts {
 			delete(n.pulling, ev)
 			delete(n.wantPayload, ev)
 			delete(n.pullWaiters, ev)
@@ -150,7 +160,7 @@ func (n *Node) retryPulls(now simnet.Time) {
 			continue
 		}
 		ps.attempts++
-		ps.deadline = now + n.params.PullRetryPeriod
+		ps.deadline = now + n.pullRetryPeriod()
 		n.tel.PullRetries.Inc()
 		n.tracer.Emit(telemetry.SpanEvent{
 			Kind: telemetry.KindPullRetry, Node: uint64(n.id), Peer: uint64(ps.from),

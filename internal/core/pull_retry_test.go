@@ -57,7 +57,7 @@ func TestPullRetriesAfterLoss(t *testing.T) {
 }
 
 // TestPullGivesUpAfterMaxAttempts: a peer that never answers must not pin
-// pull state forever — the pull is abandoned after PullMaxAttempts sends.
+// pull state forever — the pull is abandoned after pullMaxAttempts sends.
 func TestPullGivesUpAfterMaxAttempts(t *testing.T) {
 	eng := simnet.NewEngine(1)
 	net := simnet.NewNetwork(eng, simnet.ConstantLatency(5))
@@ -75,9 +75,8 @@ func TestPullGivesUpAfterMaxAttempts(t *testing.T) {
 	// 4 attempts x 1.5s retry period < 15s even with heartbeat phase.
 	eng.RunUntil(15 * simnet.Second)
 
-	want := n.params.PullMaxAttempts
-	if reqs != want {
-		t.Errorf("peer saw %d PullReqs, want exactly PullMaxAttempts = %d", reqs, want)
+	if reqs != pullMaxAttempts {
+		t.Errorf("peer saw %d PullReqs, want exactly pullMaxAttempts = %d", reqs, pullMaxAttempts)
 	}
 	if n.PendingPulls() != 0 {
 		t.Errorf("PendingPulls = %d, abandoned pull still tracked", n.PendingPulls())
@@ -87,8 +86,9 @@ func TestPullGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-// lossyCluster is the newCluster harness on a message-dropping network.
-func lossyCluster(t *testing.T, n int, drop float64, params Params, subs func(i int) []TopicID) (*cluster, map[NodeID][]byte) {
+// lossyCluster is the newCluster harness on a message-dropping network, its
+// nodes sending each pull at most pullAttempts times.
+func lossyCluster(t *testing.T, n int, drop float64, pullAttempts int, subs func(i int) []TopicID) (*cluster, map[NodeID][]byte) {
 	t.Helper()
 	c := &cluster{
 		eng:       simnet.NewEngine(42),
@@ -100,9 +100,7 @@ func lossyCluster(t *testing.T, n int, drop float64, params Params, subs func(i 
 		Inner:    simnet.UniformLatency{Min: 10, Max: 80},
 		DropProb: drop,
 	})
-	if params.NetworkSizeEstimate == 0 {
-		params.NetworkSizeEstimate = n
-	}
+	params := Params{NetworkSizeEstimate: n}
 	payloads := make(map[NodeID][]byte)
 	hooks := Hooks{
 		OnPayload: func(node NodeID, ev EventID, payload []byte) { payloads[node] = payload },
@@ -114,6 +112,7 @@ func lossyCluster(t *testing.T, n int, drop float64, params Params, subs func(i 
 	c.nodes = make([]*Node, n)
 	for i := range c.ids {
 		nd := NewNode(c.net, c.ids[i], params, hooks)
+		nd.pullAttempts = pullAttempts
 		for _, tp := range subs(i) {
 			nd.Subscribe(tp)
 		}
@@ -131,13 +130,13 @@ func lossyCluster(t *testing.T, n int, drop float64, params Params, subs func(i 
 
 // TestLossyPullStillDelivers: under 15% independent message loss the bounded
 // retry must recover most payload transfers, where a single-shot pull
-// (PullMaxAttempts=1) visibly loses some. This is the regression test for
+// (pullAttempts = 1) visibly loses some. This is the regression test for
 // the lost-pull starvation bug: before retries existed, a dropped PullReq or
 // PullResp silently starved the puller and everyone queued behind it.
 func TestLossyPullStillDelivers(t *testing.T) {
 	tp := Topic("lossy")
 	count := func(maxAttempts int) int {
-		c, payloads := lossyCluster(t, 20, 0.15, Params{PullMaxAttempts: maxAttempts},
+		c, payloads := lossyCluster(t, 20, 0.15, maxAttempts,
 			func(i int) []TopicID { return []TopicID{tp} })
 		c.run(40 * simnet.Second)
 		c.subscribersOf(tp)[0].PublishData(tp, []byte("survives loss"))
@@ -151,7 +150,7 @@ func TestLossyPullStillDelivers(t *testing.T) {
 		return got
 	}
 
-	withRetry := count(0) // 0 -> default PullMaxAttempts
+	withRetry := count(pullMaxAttempts)
 	oneShot := count(1)
 	t.Logf("payloads delivered: retry=%d/20 one-shot=%d/20", withRetry, oneShot)
 	if withRetry < 18 {

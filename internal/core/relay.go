@@ -1,8 +1,14 @@
 package core
 
 import (
+	"vitis/internal/ring"
+	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
 )
+
+// relayLease is how long relay-path soft state survives without a refresh
+// from a gateway lookup.
+func (n *Node) relayLease() simnet.Time { return ring.LeaseBeats * n.params.HeartbeatPeriod }
 
 // requestRelay starts (or refreshes) the relay path from this gateway toward
 // the rendezvous node of t by greedily looking up hash(t) (§III-B: "When a
@@ -11,7 +17,7 @@ import (
 // heartbeat while the node remains gateway, which doubles as the soft-state
 // lease refresh of §III-D.
 func (n *Node) requestRelay(t TopicID) {
-	n.relayStep(t, n.id, n.params.LookupTTL, n.tel.RelayLookups, telemetry.KindRelayLookup)
+	n.relayStep(t, n.id, ring.LookupTTL, n.tel.RelayLookups, telemetry.KindRelayLookup)
 }
 
 // handleRelay processes one hop of a relay-path lookup: record the sender as
@@ -32,7 +38,7 @@ func (n *Node) handleRelay(from NodeID, m RelayMsg) {
 		})
 		return
 	}
-	n.relays.For(m.Topic).LeaseChild(from, n.eng.Now()+n.params.RelayLease)
+	n.relays.For(m.Topic).LeaseChild(from, n.eng.Now()+n.relayLease())
 	n.relayStep(m.Topic, m.Origin, m.TTL-1, n.tel.RelayHops, telemetry.KindRelayHop)
 }
 
@@ -44,7 +50,7 @@ func (n *Node) relayStep(t TopicID, origin NodeID, ttl int, hops *telemetry.Coun
 	now := n.eng.Now()
 	rs := n.relays.For(t)
 	wasRendezvous := rs.IsRendezvous(now)
-	next, ok := rs.Advance(n.id, n.xchg.RTRef(), t, now+n.params.RelayLease)
+	next, ok := rs.Advance(n.id, n.xchg.RTRef(), t, now+n.relayLease())
 	if !ok {
 		if !wasRendezvous {
 			n.tel.RendezvousTaken.Inc()

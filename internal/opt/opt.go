@@ -37,46 +37,21 @@ type (
 // type).
 type EventID = ring.EventID
 
-// Params configure an OPT node.
+// Params are what a caller sets on an OPT node. Everything else is a
+// constant: coverageTarget here, the shared substrate's in internal/ring
+// and internal/sampling.
 type Params struct {
 	// MaxDegree bounds the routing table; 0 means unbounded (the Fig. 11
 	// configuration).
 	MaxDegree int
-	// CoverageTarget is K, the number of neighbors the node tries to have
-	// per subscribed topic (SpiderCast's K-coverage; default 2).
-	CoverageTarget  int
-	GossipPeriod    simnet.Time // default 1 s
-	HeartbeatPeriod simnet.Time // default 1 s
-	StaleAge        int         // default 5
-	SamplerViewSize int         // default 20
-	SampleSize      int         // default 10
 }
 
 // Bounded reports whether the degree is capped.
 func (p Params) Bounded() bool { return p.MaxDegree > 0 }
 
-// WithDefaults fills zero fields (MaxDegree stays 0 = unbounded).
-func (p Params) WithDefaults() Params {
-	if p.CoverageTarget == 0 {
-		p.CoverageTarget = 2
-	}
-	if p.GossipPeriod == 0 {
-		p.GossipPeriod = simnet.Second
-	}
-	if p.HeartbeatPeriod == 0 {
-		p.HeartbeatPeriod = simnet.Second
-	}
-	if p.StaleAge == 0 {
-		p.StaleAge = 5
-	}
-	if p.SamplerViewSize == 0 {
-		p.SamplerViewSize = 20
-	}
-	if p.SampleSize == 0 {
-		p.SampleSize = 10
-	}
-	return p
-}
+// coverageTarget is K, the number of neighbors a node tries to have per
+// subscribed topic (SpiderCast's K-coverage).
+const coverageTarget = 2
 
 // Hooks mirror the other systems' metric hooks. OnNotification's interested
 // flag is always true in OPT (only subscribers receive events); it is kept
@@ -131,16 +106,15 @@ type Node struct {
 
 // NewNode creates an OPT node; call Join to start it.
 func NewNode(net *simnet.Network, id NodeID, params Params, hooks Hooks) *Node {
-	p := params.WithDefaults()
 	return &Node{
 		id:        id,
 		net:       net,
 		eng:       net.Engine(),
-		params:    p,
+		params:    params,
 		rng:       net.Engine().DeriveRNG(int64(id) ^ 0x4f50), // distinct stream per system
 		hooks:     hooks,
 		subs:      make(map[TopicID]bool),
-		live:      ring.NewLiveness(p.StaleAge, p.HeartbeatPeriod),
+		live:      ring.NewLiveness(ring.Period),
 		profiles:  make(map[NodeID][]TopicID),
 		reverse:   make(map[NodeID]simnet.Time),
 		knownSubs: make(map[NodeID][]TopicID),
@@ -164,14 +138,14 @@ func (n *Node) Subscribed(t TopicID) bool { return n.subs[t] }
 func (n *Node) Join(bootstrap []NodeID) {
 	n.net.Attach(n.id, simnet.HandlerFunc(n.dispatch))
 	n.sampler = sampling.New(n.net, n.id,
-		sampling.Config{ViewSize: n.params.SamplerViewSize, Period: n.params.GossipPeriod},
+		sampling.Config{Period: ring.Period},
 		bootstrap, n.rng)
-	n.xchg = tman.New(n.net, n.id, n.params.GossipPeriod, tman.Callbacks{
+	n.xchg = tman.New(n.net, n.id, ring.Period, tman.Callbacks{
 		SelfDescriptor: func() tman.Descriptor {
 			return tman.Descriptor{ID: n.id, Payload: subsSummary(n.sortedSubs())}
 		},
 		SampleNodes: func() []tman.Descriptor {
-			return ring.Descriptors(n.sampler.Sample(n.params.SampleSize))
+			return ring.Descriptors(n.sampler.Sample(sampling.SampleSize))
 		},
 		SelectNeighbors: n.selectNeighbors,
 		// SpiderCast assumes broad membership knowledge (≥5% of the
@@ -182,7 +156,7 @@ func (n *Node) Join(bootstrap []NodeID) {
 	}, ring.Descriptors(bootstrap), n.rng)
 	n.sampler.Start()
 	n.xchg.Start()
-	n.eng.Every(n.params.HeartbeatPeriod, func() bool {
+	n.eng.Every(ring.Period, func() bool {
 		if n.stopped {
 			return false
 		}
@@ -264,7 +238,7 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 		pool := byTopic[t]
 		n.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		for _, i := range pool {
-			if coverage[t] >= n.params.CoverageTarget || full() {
+			if coverage[t] >= coverageTarget || full() {
 				break
 			}
 			if !taken[cands[i].d.ID] {
@@ -341,7 +315,7 @@ func (n *Node) heartbeat() {
 
 func (n *Node) handleProfile(from NodeID, m ProfileMsg) {
 	n.profiles[from] = m.Subs
-	n.reverse[from] = n.eng.Now() + simnet.Time(n.params.StaleAge)*n.params.HeartbeatPeriod
+	n.reverse[from] = n.eng.Now() + ring.StaleAge*ring.Period
 	if n.xchg.Contains(from) {
 		n.live.Heard(from)
 		n.xchg.UpdatePayload(from, subsSummary(m.Subs))

@@ -216,9 +216,8 @@ func TestChurnSurvivors(t *testing.T) {
 }
 
 func TestParamsDefaults(t *testing.T) {
-	p := Params{}.WithDefaults()
-	if p.CoverageTarget != 2 || p.Bounded() {
-		t.Errorf("defaults %+v", p)
+	if (Params{}).Bounded() {
+		t.Error("the zero Params should be unbounded")
 	}
 	if !(Params{MaxDegree: 5}).Bounded() {
 		t.Error("MaxDegree 5 should be bounded")

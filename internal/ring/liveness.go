@@ -5,6 +5,10 @@ import (
 	"vitis/internal/tman"
 )
 
+// StaleAge is the number of missed heartbeats after which a neighbour is
+// evicted from the routing table (§III-D).
+const StaleAge = 5
+
 // Liveness is the heartbeat failure detector over a routing table
 // (§III-D). Every table entry ages by one per heartbeat and is reset when
 // the caller hears from it; an entry more than StaleAge beats old is
@@ -13,19 +17,16 @@ import (
 // meanwhile. What counts as hearing from a peer, and what else eviction
 // means, is the caller's.
 type Liveness struct {
-	staleAge  int
 	tombstone simnet.Time
 	ages      map[NodeID]int
 	suspects  map[NodeID]simnet.Time
 	ids       []NodeID // Beat's table snapshot
 }
 
-// NewLiveness returns a detector evicting after staleAge missed
-// heartbeats of the given period.
-func NewLiveness(staleAge int, period simnet.Time) *Liveness {
+// NewLiveness returns a detector for heartbeats of the given period.
+func NewLiveness(period simnet.Time) *Liveness {
 	return &Liveness{
-		staleAge:  staleAge,
-		tombstone: 3 * simnet.Time(staleAge) * period,
+		tombstone: 3 * StaleAge * period,
 		ages:      make(map[NodeID]int),
 		suspects:  make(map[NodeID]simnet.Time),
 	}
@@ -46,7 +47,7 @@ func (l *Liveness) Beat(xchg *tman.Exchanger, now simnet.Time, evicted, alive fu
 	l.ids = ids
 	for _, id := range ids {
 		l.ages[id]++
-		if l.ages[id] <= l.staleAge {
+		if l.ages[id] <= StaleAge {
 			alive(id)
 			continue
 		}

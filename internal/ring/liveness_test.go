@@ -13,21 +13,21 @@ import (
 // once; answered neighbors are heartbeated every beat.
 func TestLivenessEvictsAfterStaleAge(t *testing.T) {
 	const period = simnet.Second
-	l := NewLiveness(2, period)
+	l := NewLiveness(period)
 	xchg := tman.New(nil, 1, period, tman.Callbacks{}, descs(10, 20, 30), nil)
 	var alive, evicted []NodeID
-	for beat := 1; beat <= 3; beat++ {
+	for beat := 1; beat <= StaleAge+1; beat++ {
 		alive, evicted = alive[:0], evicted[:0]
 		l.Heard(20)
 		l.Beat(xchg, simnet.Time(beat)*period,
 			func(id NodeID) { evicted = append(evicted, id) },
 			func(id NodeID) { alive = append(alive, id) })
-		if beat < 3 && len(evicted) != 0 {
+		if beat <= StaleAge && len(evicted) != 0 {
 			t.Fatalf("beat %d evicted %v before StaleAge", beat, evicted)
 		}
 	}
 	if !slices.Equal(evicted, []NodeID{10, 30}) || !slices.Equal(alive, []NodeID{20}) {
-		t.Fatalf("third beat: evicted %v alive %v; want [10 30] and [20]", evicted, alive)
+		t.Fatalf("beat StaleAge+1: evicted %v alive %v; want [10 30] and [20]", evicted, alive)
 	}
 	if xchg.Contains(10) || xchg.Contains(30) || !xchg.Contains(20) {
 		t.Error("evicted neighbors not removed from the table")
@@ -42,10 +42,10 @@ func TestLivenessEvictsAfterStaleAge(t *testing.T) {
 // meanwhile, and forgiven early when it speaks.
 func TestLivenessTombstoneLastsThreeStaleAges(t *testing.T) {
 	const period = simnet.Second
-	l := NewLiveness(5, period)
+	l := NewLiveness(period)
 	l.Suspect(10, 100)
 	l.Suspect(20, 100)
-	until := 100 + 15*period
+	until := 100 + 3*StaleAge*period
 	if !l.Suspected(10, until-1) || l.Suspected(10, until) {
 		t.Error("tombstone not in force for exactly 3×StaleAge periods")
 	}
@@ -66,7 +66,7 @@ func TestLivenessTombstoneLastsThreeStaleAges(t *testing.T) {
 // TestLivenessPrunesAgesOfDepartedPeers: a peer heard outside the table
 // (RVR's Pong) or removed from it by gossip leaves no age behind.
 func TestLivenessPrunesAgesOfDepartedPeers(t *testing.T) {
-	l := NewLiveness(5, simnet.Second)
+	l := NewLiveness(simnet.Second)
 	xchg := tman.New(nil, 1, simnet.Second, tman.Callbacks{}, descs(10, 20), nil)
 	l.Heard(99)
 	l.Beat(xchg, 1, nil, func(NodeID) {})

@@ -24,6 +24,10 @@ import (
 	"vitis/internal/tman"
 )
 
+// Period is RVR's and OPT's gossip and heartbeat period δt, the paper's one
+// second (§IV-A). Only Vitis's periods are settable (core.Params).
+const Period = simnet.Second
+
 // NodeID identifies a node; node and topic ids share one identifier space.
 type NodeID = simnet.NodeID
 

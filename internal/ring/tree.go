@@ -9,6 +9,16 @@ import (
 	"vitis/internal/tman"
 )
 
+// Soft-state constants of every tree built by lookups (§III-B, §III-D).
+const (
+	// LookupTTL caps greedy lookup lengths, a safety net while the ring is
+	// still converging.
+	LookupTTL = 64
+	// LeaseBeats is how many heartbeat periods a tree lease lives without
+	// a refresh.
+	LeaseBeats = 4
+)
+
 // Tree is one topic's soft state on lookup paths toward hash(topic): a
 // Vitis relay path (§III-B) or an RVR multicast tree. Every role is a
 // lease — the parent one greedy hop closer to the rendezvous node, the

@@ -38,17 +38,12 @@ type (
 // type).
 type EventID = ring.EventID
 
-// Params mirror core.Params where applicable.
+// Params are what a caller sets on an RVR node. Everything else is a
+// constant: treeLease here, the shared substrate's in internal/ring and
+// internal/sampling.
 type Params struct {
-	RTSize              int         // default 15
-	GossipPeriod        simnet.Time // default 1 s
-	HeartbeatPeriod     simnet.Time // default 1 s
-	StaleAge            int         // default 5
-	TreeLease           simnet.Time // default 4 heartbeats
-	LookupTTL           int         // default 64
-	NetworkSizeEstimate int         // default 10000
-	SamplerViewSize     int         // default 20
-	SampleSize          int         // default 10
+	RTSize              int // default 15
+	NetworkSizeEstimate int // default 10000
 }
 
 // WithDefaults fills zero fields.
@@ -56,32 +51,15 @@ func (p Params) WithDefaults() Params {
 	if p.RTSize == 0 {
 		p.RTSize = 15
 	}
-	if p.GossipPeriod == 0 {
-		p.GossipPeriod = simnet.Second
-	}
-	if p.HeartbeatPeriod == 0 {
-		p.HeartbeatPeriod = simnet.Second
-	}
-	if p.StaleAge == 0 {
-		p.StaleAge = 5
-	}
-	if p.TreeLease == 0 {
-		p.TreeLease = 4 * p.HeartbeatPeriod
-	}
-	if p.LookupTTL == 0 {
-		p.LookupTTL = 64
-	}
 	if p.NetworkSizeEstimate == 0 {
 		p.NetworkSizeEstimate = 10000
 	}
-	if p.SamplerViewSize == 0 {
-		p.SamplerViewSize = 20
-	}
-	if p.SampleSize == 0 {
-		p.SampleSize = 10
-	}
 	return p
 }
+
+// treeLease is how long multicast-tree soft state survives without a
+// refresh.
+const treeLease = ring.LeaseBeats * ring.Period
 
 // Hooks mirror core.Hooks for the metrics layer.
 type Hooks struct {
@@ -155,7 +133,7 @@ func NewNode(net *simnet.Network, id NodeID, params Params, hooks Hooks) *Node {
 		rng:    net.Engine().DeriveRNG(int64(id) ^ 0x5256), // distinct stream from a same-id Vitis node
 		hooks:  hooks,
 		subs:   make(map[TopicID]bool),
-		live:   ring.NewLiveness(p.StaleAge, p.HeartbeatPeriod),
+		live:   ring.NewLiveness(ring.Period),
 		trees:  make(ring.Trees),
 		seen:   ring.NewSeen(),
 	}
@@ -188,18 +166,18 @@ func (n *Node) Subscribed(t TopicID) bool { return n.subs[t] }
 func (n *Node) Join(bootstrap []NodeID) {
 	n.net.Attach(n.id, simnet.HandlerFunc(n.dispatch))
 	n.sampler = sampling.New(n.net, n.id,
-		sampling.Config{ViewSize: n.params.SamplerViewSize, Period: n.params.GossipPeriod},
+		sampling.Config{Period: ring.Period},
 		bootstrap, n.rng)
-	n.xchg = tman.New(n.net, n.id, n.params.GossipPeriod, tman.Callbacks{
+	n.xchg = tman.New(n.net, n.id, ring.Period, tman.Callbacks{
 		SelfDescriptor: func() tman.Descriptor { return tman.Descriptor{ID: n.id} },
 		SampleNodes: func() []tman.Descriptor {
-			return ring.Descriptors(n.sampler.Sample(n.params.SampleSize))
+			return ring.Descriptors(n.sampler.Sample(sampling.SampleSize))
 		},
 		SelectNeighbors: n.selectNeighbors,
 	}, ring.Descriptors(bootstrap), n.rng)
 	n.sampler.Start()
 	n.xchg.Start()
-	n.eng.Every(n.params.HeartbeatPeriod, func() bool {
+	n.eng.Every(ring.Period, func() bool {
 		if n.stopped {
 			return false
 		}
@@ -275,7 +253,7 @@ func (n *Node) heartbeat() {
 	// Sorted order keeps the message sequence (and thus the run)
 	// deterministic.
 	for _, t := range n.sortedSubs() {
-		n.joinTree(t, n.params.LookupTTL)
+		n.joinTree(t, ring.LookupTTL)
 	}
 	n.trees.Expire(now)
 }
@@ -297,7 +275,7 @@ func (n *Node) sortedSubs() []TopicID {
 // greedy hop toward hash(t) as parent and send it a SubscribeMsg with the
 // given TTL, or hold the rendezvous role if no neighbor is closer.
 func (n *Node) joinTree(t TopicID, ttl int) {
-	next, ok := n.trees.For(t).Advance(n.id, n.xchg.RTRef(), t, n.eng.Now()+n.params.TreeLease)
+	next, ok := n.trees.For(t).Advance(n.id, n.xchg.RTRef(), t, n.eng.Now()+treeLease)
 	if ok {
 		n.net.Send(n.id, next, SubscribeMsg{Topic: t, TTL: ttl})
 	}
@@ -307,7 +285,7 @@ func (n *Node) joinTree(t TopicID, ttl int) {
 // Unlike a Vitis relay hop, a lookup whose TTL ran out still grafts its
 // sender: Scribe keeps the partial branch.
 func (n *Node) handleSubscribe(from NodeID, m SubscribeMsg) {
-	n.trees.For(m.Topic).LeaseChild(from, n.eng.Now()+n.params.TreeLease)
+	n.trees.For(m.Topic).LeaseChild(from, n.eng.Now()+treeLease)
 	if m.TTL > 0 {
 		n.joinTree(m.Topic, m.TTL-1)
 	}

@@ -225,7 +225,7 @@ func TestUnsubscribeLeavesTree(t *testing.T) {
 
 func TestParamsDefaults(t *testing.T) {
 	p := Params{}.WithDefaults()
-	if p.RTSize != 15 || p.StaleAge != 5 || p.TreeLease != 4*simnet.Second {
+	if p.RTSize != 15 || p.NetworkSizeEstimate != 10000 || treeLease != 4*simnet.Second {
 		t.Errorf("defaults %+v", p)
 	}
 }

@@ -212,7 +212,8 @@ func NewTransportMetrics(r *Registry) *TransportMetrics {
 		r.CounterFunc("vitis_transport_rx_unroutable_total", "Frames addressed to ids not hosted here.", counterFn(m.RxUnroutable))
 		r.GaugeFunc("vitis_transport_known_peers", "Entries in the epidemic address book.", gaugeFn(m.KnownPeers))
 		r.GaugeFunc("vitis_transport_send_queue_depth", "Frames waiting in per-peer batch buffers.", gaugeFn(m.QueueDepth))
-		// Buckets span a short protocol turn up to ten default FlushIntervals.
+		// Buckets span a short protocol turn up to ten of the transport's
+		// 2 ms deadline flushes.
 		m.FlushWait = r.Histogram("vitis_transport_flush_wait_seconds", "Time from a batch's first frame being queued to each of its datagrams being written.",
 			0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02)
 	}

@@ -3,30 +3,41 @@ package chaos
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"vitis/internal/core"
 	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
 	"vitis/internal/transport"
 )
 
-// fakeTransport records sends and lets tests inject inbound traffic, so the
-// fault pipeline can be observed without sockets or codecs.
+// fakeTransport records sends and flushes and lets tests inject inbound
+// traffic, so the fault pipeline can be observed without sockets or codecs.
 type fakeTransport struct {
 	mu   sync.Mutex
 	sent []int
-	recv transport.RecvFunc
+	// flushed is how many sends the latest Flush found recorded.
+	flushed int
+	recv    transport.RecvFunc
 }
 
 func (f *fakeTransport) SetReceiver(recv transport.RecvFunc)  { f.recv = recv }
 func (f *fakeTransport) Attach(id simnet.NodeID)              {}
 func (f *fakeTransport) Detach(id simnet.NodeID)              {}
-func (f *fakeTransport) Flush()                               {}
 func (f *fakeTransport) Close() error                         { return nil }
 func (f *fakeTransport) inject(from, to simnet.NodeID, m int) { f.recv(from, to, m) }
+
+func (f *fakeTransport) Flush() {
+	f.mu.Lock()
+	f.flushed = len(f.sent)
+	f.mu.Unlock()
+}
+
+func (f *fakeTransport) flushedSends() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.flushed
+}
 
 func (f *fakeTransport) Send(from, to simnet.NodeID, msg simnet.Message) error {
 	f.mu.Lock()
@@ -59,32 +70,15 @@ func sendPattern(c *Controller, n int) []int {
 	return ft.snapshot()
 }
 
-// TestWrapForwardsFlush drives a Host over a chaos-wrapped UDP transport
-// whose own deadline is an hour away: the frame arrives, so the driver's
-// turn flush went through the wrapper to the socket.
+// TestWrapForwardsFlush drives a Host over a chaos-wrapped transport: the
+// turn flush that follows the host's send reaches the transport underneath.
 func TestWrapForwardsFlush(t *testing.T) {
-	listen := func(cfg transport.UDPConfig) *transport.UDP {
-		u, err := transport.ListenUDP("127.0.0.1:0", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { u.Close() })
-		return u
-	}
-	server := listen(transport.UDPConfig{})
-	server.Attach(2)
-	var rx atomic.Uint64
-	server.SetReceiver(func(from, to simnet.NodeID, msg simnet.Message) { rx.Add(1) })
-	client := listen(transport.UDPConfig{FlushInterval: time.Hour})
-	if err := client.SetPeer(2, server.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-
 	ctl := New(Config{})
 	defer ctl.Close()
+	ft := &fakeTransport{}
 	eng := simnet.NewEngine(1)
-	h := transport.NewHost(eng, ctl.Wrap(client), nil)
-	eng.Schedule(0, func() { h.Send(1, 2, core.PullReq{}) })
+	h := transport.NewHost(eng, ctl.Wrap(ft), nil)
+	eng.Schedule(0, func() { h.Send(1, 2, 0) })
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -96,9 +90,9 @@ func TestWrapForwardsFlush(t *testing.T) {
 		<-done
 	}()
 
-	for deadline := time.Now().Add(5 * time.Second); rx.Load() != 1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); ft.flushedSends() != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the driven host's frame never left the wrapped transport")
+			t.Fatal("no turn flush after the driven host's send reached the wrapped transport")
 		}
 	}
 }

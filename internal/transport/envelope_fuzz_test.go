@@ -27,7 +27,7 @@ func appendParsed(dst []byte, e envelope) []byte {
 // transport builds — hello, ack, one frame, several frames, a full hint
 // section — plus the richest datagram cut at every section boundary.
 func FuzzEnvelope(f *testing.F) {
-	u, err := ListenUDP("127.0.0.1:0", UDPConfig{MaxHints: maxHintCap})
+	u, err := ListenUDP("127.0.0.1:0", UDPConfig{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func FuzzEnvelope(f *testing.F) {
 		return u.appendEnvelopeLocked(nil, flags, frames, n, h)
 	}
 	f.Add(build(flagAckReq, nil, 0, nil)) // hello from an empty book
-	for i := 0; i < 2*maxHintCap; i++ {
+	for i := 0; i < 2*maxHints; i++ {
 		addr := "127.0.0.1:9"
 		if i%2 == 1 {
 			addr = "[::1]:9"
@@ -65,7 +65,7 @@ func FuzzEnvelope(f *testing.F) {
 	rich := build(0, frames, 3, &hintLedger{mentioned: []simnet.NodeID{100, 101}})
 	f.Add(rich)
 	e, err := parseEnvelope(rich)
-	if err != nil || e.nHints != maxHintCap || e.nFrames != 3 {
+	if err != nil || e.nHints != maxHints || e.nFrames != 3 {
 		f.Fatalf("seed datagram parsed to %d hints, %d frames, err %v", e.nHints, e.nFrames, err)
 	}
 	afterSrc := 5 + len(e.src)

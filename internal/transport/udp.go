@@ -33,11 +33,11 @@ import (
 //
 // Send appends frames to the destination's batch buffer and puts that queue
 // on the socket's dirty list; Flush writes every dirty queue's batch, one
-// datagram per peer (split at BatchBytes only when a batch outgrew one). The
+// datagram per peer (split at batchBytes only when a batch outgrew one). The
 // protocol loop calls Flush at the end of every turn (Driver.Run), so what a
 // turn produced for one peer travels together and nothing waits for a timer.
 // Frames of senders nobody drives are written by the socket's one deadline
-// goroutine, which calls the same Flush at most FlushInterval after the dirty
+// goroutine, which calls the same Flush at most flushInterval after the dirty
 // list became non-empty.
 //
 // Receivers learn "these ids live at the datagram's source address" from
@@ -45,8 +45,8 @@ import (
 // mentioned in a view exchange or join reply becomes routable without a
 // directory service. Hints are sent only when the peer can need them: a
 // frame-carrying datagram hints the ids its messages mention, each id at
-// most once per PendingTimeout/2 per peer (see hintLedger). The interval is
-// tied to PendingTimeout because that is how long the receiver keeps frames
+// most once per pendingTimeout/2 per peer (see hintLedger). The interval is
+// tied to pendingTimeout because that is how long the receiver keeps frames
 // stashed for an id it cannot reach yet: if the datagram with the first
 // hint is lost, the repeat still arrives while the stash is alive. Arbitrary
 // book entries pad the hints only where they bootstrap someone: hellos,
@@ -60,99 +60,63 @@ const (
 	maxDatagram  = 65507
 	helloBackoff = 150 * time.Millisecond
 
-	// maxHintCap caps MaxHints, so the builder deduplicates hints in a fixed
-	// array instead of a map, and the hints learned from one datagram.
-	maxHintCap = 16
+	// maxHints bounds the address hints per datagram, both those we write
+	// and those one received datagram may teach; the builder deduplicates
+	// them in a fixed array instead of a map.
+	maxHints = 8
 	// maxMentioned bounds the mentioned-id accumulation per batch.
 	maxMentioned = 64
 	// hintLedgerSize is how many recently hinted ids a queue remembers: two
-	// default hint sections, 256 bytes for each of a node's dozens of peers.
-	// On overflow the oldest entry goes and that id is hinted once more.
+	// hint sections, 256 bytes for each of a node's dozens of peers. On
+	// overflow the oldest entry goes and that id is hinted once more.
 	hintLedgerSize = 16
+	// batchBytes is the target datagram payload, the common ethernet-safe
+	// size: a batch that outgrew it is split into datagrams of at most this
+	// many frame bytes.
+	batchBytes = 1400
+	// queueBytes bounds each per-peer batch buffer; overflow drops the
+	// newest frame, mirroring congestion loss.
+	queueBytes = 256 << 10
+	// pendingCap bounds the frames stashed for a peer whose address is
+	// still unknown; overflow drops the oldest stash entry.
+	pendingCap = 16
+
+	// flushInterval is the longest a frame waits when nobody calls Flush:
+	// the deadline goroutine writes the dirty queues this long after the
+	// first of them got a frame. A driven Host flushes at the end of every
+	// turn and never gets there.
+	flushInterval = 2 * time.Millisecond
+	// idleTimeout frees a peer's batch buffer and hint ledger after this
+	// long without traffic; the next Send revives it.
+	idleTimeout = time.Minute
+	// pendingTimeout ages out stashed frames whose peer address never
+	// resolved; aged frames count as TxDropped.
+	pendingTimeout = 10 * time.Second
+	// peerTTL evicts address-book entries not refreshed by traffic for this
+	// long, bounding book growth under churn.
+	peerTTL = 10 * time.Minute
 )
 
 var envMagic = [2]byte{'V', 'P'}
 
-// UDPConfig tunes a UDP transport; zero values get defaults.
+// UDPConfig configures a UDP transport. Its limits and timers are the
+// constants above.
 type UDPConfig struct {
-	// QueueBytes bounds each per-peer batch buffer (default 256 KiB);
-	// overflow drops the newest frame, mirroring congestion loss.
-	QueueBytes int
-	// PendingCap bounds frames stashed for a peer whose address is still
-	// unknown (default 16); overflow drops the oldest stash entry.
-	PendingCap int
-	// MaxHints bounds address hints per datagram (default 8, max 16).
-	MaxHints int
-	// BatchBytes is the target datagram payload: a batch that outgrew it
-	// is split into datagrams of at most this many frame bytes (default
-	// 1400, the common ethernet-safe size; capped at 60000 so the envelope
-	// always fits).
-	BatchBytes int
-	// FlushInterval is the longest a frame waits when nobody calls Flush:
-	// the deadline goroutine writes the dirty queues this long after the
-	// first of them got a frame (default 2ms). A driven Host flushes at the
-	// end of every turn and never gets there.
-	FlushInterval time.Duration
-	// IdleTimeout frees a peer's batch buffer and hint ledger after this
-	// long without traffic (default 1 minute); the next Send revives it.
-	IdleTimeout time.Duration
-	// PendingTimeout ages out stashed frames whose peer address never
-	// resolved (default 10s); aged frames count as TxDropped.
-	PendingTimeout time.Duration
-	// PeerTTL evicts address-book entries not refreshed by traffic for
-	// this long (default 10 minutes), bounding book growth under churn.
-	PeerTTL time.Duration
 	// Metrics receives the transport's counters. Nil gets a private live
 	// bundle (Counters() still works); pass one built from a registry to
 	// expose the counters on /metrics.
 	Metrics *telemetry.TransportMetrics
 }
 
-func (c *UDPConfig) fill() {
-	if c.QueueBytes <= 0 {
-		c.QueueBytes = 256 << 10
-	}
-	if c.PendingCap <= 0 {
-		c.PendingCap = 16
-	}
-	if c.MaxHints <= 0 {
-		c.MaxHints = 8
-	}
-	if c.MaxHints > maxHintCap {
-		c.MaxHints = maxHintCap
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1400
-	}
-	if c.BatchBytes > 60000 {
-		c.BatchBytes = 60000
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = time.Minute
-	}
-	if c.PendingTimeout <= 0 {
-		c.PendingTimeout = 10 * time.Second
-	}
-	if c.PeerTTL <= 0 {
-		c.PeerTTL = 10 * time.Minute
-	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewTransportMetrics(nil)
-	}
-}
-
 // bookEntry is one address-book record: where a node id lives and when
-// traffic last confirmed it, for PeerTTL eviction.
+// traffic last confirmed it, for peerTTL eviction.
 type bookEntry struct {
 	addr netip.AddrPort
 	seen time.Time
 }
 
 // pendingFrame is one frame stashed for a peer whose address is unknown,
-// timestamped for PendingTimeout age-out, with the ids it mentions so they
+// timestamped for pendingTimeout age-out, with the ids it mentions so they
 // are still hinted when the stash flushes.
 type pendingFrame struct {
 	frame     []byte
@@ -166,7 +130,9 @@ type pendingFrame struct {
 // envelope comment). Safe for concurrent use.
 type UDP struct {
 	conn *net.UDPConn
-	cfg  UDPConfig
+	// flushAfter is flushInterval except in tests, which hold frames back
+	// or watch the deadline fire (see listenUDP).
+	flushAfter time.Duration
 
 	mu   sync.Mutex
 	recv RecvFunc
@@ -198,8 +164,8 @@ type UDP struct {
 	done  chan struct{}
 	wg    sync.WaitGroup
 
-	// tel holds the transport's counters (see UDPConfig.Metrics); always
-	// non-nil after fill().
+	// tel holds the transport's counters (see UDPConfig.Metrics); never
+	// nil.
 	tel *telemetry.TransportMetrics
 }
 
@@ -262,6 +228,12 @@ func (h *hintLedger) slot(id simnet.NodeID, now, every time.Duration) *hintSlot 
 
 // ListenUDP opens a UDP transport on addr (e.g. "127.0.0.1:0").
 func ListenUDP(addr string, cfg UDPConfig) (*UDP, error) {
+	return listenUDP(addr, cfg, flushInterval)
+}
+
+// listenUDP is ListenUDP with the deadline flush flushAfter instead of
+// flushInterval after the first unflushed frame.
+func listenUDP(addr string, cfg UDPConfig, flushAfter time.Duration) (*UDP, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -270,19 +242,21 @@ func ListenUDP(addr string, cfg UDPConfig) (*UDP, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.fill()
-	u := &UDP{
-		conn:    conn,
-		cfg:     cfg,
-		tel:     cfg.Metrics,
-		local:   make(map[simnet.NodeID]bool),
-		book:    make(map[simnet.NodeID]bookEntry),
-		queues:  make(map[simnet.NodeID]*peerQueue),
-		pending: make(map[simnet.NodeID][]pendingFrame),
-		start:   time.Now(),
-		done:    make(chan struct{}),
+	if cfg.Metrics == nil {
+		cfg.Metrics = telemetry.NewTransportMetrics(nil)
 	}
-	u.deadline = time.NewTimer(cfg.FlushInterval)
+	u := &UDP{
+		conn:       conn,
+		flushAfter: flushAfter,
+		tel:        cfg.Metrics,
+		local:      make(map[simnet.NodeID]bool),
+		book:       make(map[simnet.NodeID]bookEntry),
+		queues:     make(map[simnet.NodeID]*peerQueue),
+		pending:    make(map[simnet.NodeID][]pendingFrame),
+		start:      time.Now(),
+		done:       make(chan struct{}),
+	}
+	u.deadline = time.NewTimer(flushAfter)
 	u.deadline.Stop() // armed by the first frame queued
 	u.wg.Add(3)
 	go u.readLoop()
@@ -390,7 +364,7 @@ func (u *UDP) stashLocked(from, to simnet.NodeID, msg simnet.Message) error {
 		return err
 	}
 	stash := u.pending[to]
-	if len(stash) >= u.cfg.PendingCap {
+	if len(stash) >= pendingCap {
 		copy(stash, stash[1:])
 		stash = stash[:len(stash)-1]
 		u.tel.TxDropped.Inc()
@@ -426,13 +400,13 @@ func (u *UDP) envOverheadLocked() int {
 	if n > 255 {
 		n = 255
 	}
-	return 4 + 1 + 8*n + 1 + u.cfg.MaxHints*(8+1+16+2) + 2 + 2
+	return 4 + 1 + 8*n + 1 + maxHints*(8+1+16+2) + 2 + 2
 }
 
 // appendFrameLocked encodes msg as a length-prefixed frame directly into
 // the peer's batch buffer — no intermediate slice, so a warm buffer makes
 // Send allocation-free. Frames that cannot fit a datagram or would
-// overflow QueueBytes are reverted and counted as drops. Caller holds
+// overflow queueBytes are reverted and counted as drops. Caller holds
 // q.mu.
 func (u *UDP) appendFrameLocked(q *peerQueue, from, to simnet.NodeID, msg simnet.Message, maxFrame int) error {
 	off := len(q.buf)
@@ -444,7 +418,7 @@ func (u *UDP) appendFrameLocked(q *peerQueue, from, to simnet.NodeID, msg simnet
 		return err
 	}
 	flen := len(q.buf) - off - 2
-	if flen > maxFrame || len(q.buf) > u.cfg.QueueBytes {
+	if flen > maxFrame || len(q.buf) > queueBytes {
 		q.buf = q.buf[:off]
 		u.tel.TxDropped.Inc()
 		return nil
@@ -461,7 +435,7 @@ func (u *UDP) appendFrameLocked(q *peerQueue, from, to simnet.NodeID, msg simnet
 // appendRawLocked queues an already-encoded frame (the pending-stash flush
 // path). Caller holds q.mu; maxFrame as in appendFrameLocked.
 func (u *UDP) appendRawLocked(q *peerQueue, frame []byte, mentioned []simnet.NodeID, maxFrame int) {
-	if len(frame) > maxFrame || len(q.buf)+2+len(frame) > u.cfg.QueueBytes {
+	if len(frame) > maxFrame || len(q.buf)+2+len(frame) > queueBytes {
 		u.tel.TxDropped.Inc()
 		return
 	}
@@ -483,7 +457,7 @@ func (u *UDP) frameQueuedLocked(q *peerQueue) {
 		u.dirtyMu.Lock()
 		u.dirty = append(u.dirty, q)
 		if len(u.dirty) == 1 {
-			u.deadline.Reset(u.cfg.FlushInterval)
+			u.deadline.Reset(u.flushAfter)
 		}
 		u.dirtyMu.Unlock()
 	}
@@ -656,7 +630,7 @@ func (u *UDP) Counters() UDPCounters {
 }
 
 // Flush implements Transport: it writes the batch of every queue on the
-// dirty list, one datagram per peer unless a batch outgrew BatchBytes.
+// dirty list, one datagram per peer unless a batch outgrew batchBytes.
 // Flushes are serialised, so frames to one peer leave in Send order, and when
 // Flush returns every frame whose Send returned before the call has been
 // handed to the socket. With nothing dirty it costs two uncontended locks.
@@ -689,7 +663,7 @@ func (u *UDP) flush() (datagrams int) {
 
 // deadlineLoop writes what nobody flushed: senders without a driver (the
 // chaos wrapper's delayed sends, Resolve, tests) and a driver stuck in a
-// turn longer than FlushInterval.
+// turn longer than flushInterval.
 func (u *UDP) deadlineLoop() {
 	defer u.wg.Done()
 	for {
@@ -704,7 +678,7 @@ func (u *UDP) deadlineLoop() {
 
 // writeBatch wraps a batch of nFrames length-prefixed frames, the first
 // queued at since, into one or more envelopes — normally exactly one; more
-// only when the batch outgrew BatchBytes — and writes them. Caller holds
+// only when the batch outgrew batchBytes — and writes them. Caller holds
 // u.flushMu; u.mu is taken briefly per envelope.
 func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, since time.Time, addr netip.AddrPort) (datagrams int) {
 	for off := 0; off < len(data); datagrams++ {
@@ -712,7 +686,7 @@ func (u *UDP) writeBatch(q *peerQueue, data []byte, nFrames int, since time.Time
 		for off < len(data) {
 			flen := int(data[off])<<8 | int(data[off+1])
 			next := off + 2 + flen
-			if n > 0 && next-start > u.cfg.BatchBytes {
+			if n > 0 && next-start > batchBytes {
 				break
 			}
 			off = next
@@ -760,7 +734,7 @@ func (u *UDP) learnLocked(id simnet.NodeID, addr netip.AddrPort) {
 
 // appendEnvelopeLocked appends a complete datagram envelope around a batch
 // of length-prefixed frames (or none, for hellos and acks), piggybacking
-// our local ids and up to MaxHints address hints: the ids mentioned inside
+// our local ids and up to maxHints address hints: the ids mentioned inside
 // the batched messages that h says the peer is owed (so a node receiving a
 // view exchange can reach the peers it was just told about), and arbitrary
 // book entries only on hellos, acks (no queue: h is nil) and a queue's first
@@ -790,17 +764,17 @@ func (u *UDP) appendEnvelopeLocked(dst []byte, flags byte, frames []byte, nFrame
 	nHintsAt := len(dst)
 	dst = append(dst, 0)
 	budget := maxDatagram - len(dst) - 2 - len(frames)
-	var added [maxHintCap]simnet.NodeID
+	var added [maxHints]simnet.NodeID
 	nh := 0
 	pad := nFrames == 0 || h != nil && !h.padded
 	if h != nil {
 		h.padded = true
 		now := time.Since(u.start)
 		for _, id := range h.mentioned {
-			if nh >= u.cfg.MaxHints {
+			if nh >= maxHints {
 				break
 			}
-			if s := h.slot(id, now, u.cfg.PendingTimeout/2); id != h.peer && s != nil {
+			if s := h.slot(id, now, pendingTimeout/2); id != h.peer && s != nil {
 				was := nh
 				dst, nh, budget = u.appendHintLocked(dst, id, &added, nh, budget)
 				if nh > was {
@@ -811,7 +785,7 @@ func (u *UDP) appendEnvelopeLocked(dst []byte, flags byte, frames []byte, nFrame
 	}
 	if pad {
 		for id := range u.book {
-			if nh >= u.cfg.MaxHints {
+			if nh >= maxHints {
 				break
 			}
 			if h == nil || id != h.peer {
@@ -828,7 +802,7 @@ func (u *UDP) appendEnvelopeLocked(dst []byte, flags byte, frames []byte, nFrame
 
 // appendHintLocked appends one address hint if the id is hintable (known,
 // not local, not already added, fits the budget). Caller holds u.mu.
-func (u *UDP) appendHintLocked(dst []byte, id simnet.NodeID, added *[maxHintCap]simnet.NodeID, nh, budget int) ([]byte, int, int) {
+func (u *UDP) appendHintLocked(dst []byte, id simnet.NodeID, added *[maxHints]simnet.NodeID, nh, budget int) ([]byte, int, int) {
 	if u.local[id] {
 		return dst, nh, budget
 	}
@@ -860,13 +834,12 @@ func (u *UDP) appendHintLocked(dst []byte, id simnet.NodeID, added *[maxHintCap]
 }
 
 // reapLoop ages out pending stashes whose peer never resolved, evicts
-// address-book entries not refreshed within PeerTTL and frees the queues of
-// peers idle for IdleTimeout, so churned peers do not pin memory forever.
+// address-book entries not refreshed within peerTTL and frees the queues of
+// peers idle for idleTimeout, so churned peers do not pin memory forever.
+// It runs four times per pendingTimeout, the shortest of the three.
 func (u *UDP) reapLoop() {
 	defer u.wg.Done()
-	interval := min(u.cfg.PendingTimeout, u.cfg.PeerTTL, u.cfg.IdleTimeout) / 4
-	interval = max(10*time.Millisecond, min(interval, 5*time.Second))
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(pendingTimeout / 4)
 	defer ticker.Stop()
 	for {
 		select {
@@ -878,7 +851,7 @@ func (u *UDP) reapLoop() {
 	}
 }
 
-// reapOnce applies PendingTimeout, PeerTTL and IdleTimeout as of now.
+// reapOnce applies pendingTimeout, peerTTL and idleTimeout as of now.
 func (u *UDP) reapOnce(now time.Time) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -886,7 +859,7 @@ func (u *UDP) reapOnce(now time.Time) {
 		// A sender that looked q up before this sees dead and starts over
 		// (see Send), so its frame is neither lost nor written twice.
 		q.mu.Lock()
-		if q.frames == 0 && now.Sub(q.lastActive) > u.cfg.IdleTimeout {
+		if q.frames == 0 && now.Sub(q.lastActive) > idleTimeout {
 			q.dead = true
 			delete(u.queues, id)
 		}
@@ -895,7 +868,7 @@ func (u *UDP) reapOnce(now time.Time) {
 	for id, stash := range u.pending {
 		// Stashes are append-ordered, so expired entries form a prefix.
 		cut := 0
-		for cut < len(stash) && now.Sub(stash[cut].at) > u.cfg.PendingTimeout {
+		for cut < len(stash) && now.Sub(stash[cut].at) > pendingTimeout {
 			cut++
 		}
 		if cut == 0 {
@@ -911,7 +884,7 @@ func (u *UDP) reapOnce(now time.Time) {
 	}
 	evicted := false
 	for id, e := range u.book {
-		if now.Sub(e.seen) > u.cfg.PeerTTL {
+		if now.Sub(e.seen) > peerTTL {
 			delete(u.book, id)
 			evicted = true
 		}
@@ -1019,7 +992,7 @@ func (u *UDP) handleDatagram(b []byte, src netip.AddrPort) {
 	// honest sender can write, and never overrides what the source address
 	// of a peer's own datagram taught us.
 	hints := env.hints
-	for i := 0; i < env.nHints && i < maxHintCap; i++ {
+	for i := 0; i < env.nHints && i < maxHints; i++ {
 		id, ipLen := simnet.NodeID(takeU64(hints)), int(hints[8])
 		if _, ok := u.book[id]; !ok {
 			ip, _ := netip.AddrFromSlice(hints[9 : 9+ipLen]) // 4 or 16 bytes, per parseEnvelope
@@ -1035,7 +1008,7 @@ func (u *UDP) handleDatagram(b []byte, src netip.AddrPort) {
 	recv, hosted := u.recv, u.local
 	u.mu.Unlock()
 	u.tel.RxDatagrams.Inc()
-	if env.nHints > maxHintCap {
+	if env.nHints > maxHints {
 		u.tel.RxErrors.Inc()
 	}
 	if ack != nil {

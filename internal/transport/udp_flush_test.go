@@ -34,9 +34,9 @@ func drive(t *testing.T, h *Host) {
 // sends to a peer leaves as one datagram, written by the driver. The deadline
 // is an hour away, so any arrival proves the turn flush carried it.
 func TestDriverFlushesOncePerTurn(t *testing.T) {
-	x, rxX := countingUDP(t, 2, UDPConfig{})
-	y, rxY := countingUDP(t, 3, UDPConfig{})
-	a, _ := countingUDP(t, 1, UDPConfig{FlushInterval: time.Hour})
+	x, rxX := countingUDP(t, 2, flushInterval)
+	y, rxY := countingUDP(t, 3, flushInterval)
+	a, _ := countingUDP(t, 1, time.Hour)
 	setPeer(t, a, 2, x.LocalAddr().String())
 	setPeer(t, a, 3, y.LocalAddr().String())
 
@@ -60,12 +60,12 @@ func TestDriverFlushesOncePerTurn(t *testing.T) {
 }
 
 // TestUDPDeadlineFlushesUndrivenSends checks the other caller of Flush: a
-// bare Send nobody flushes leaves FlushInterval later, together with what
+// bare Send nobody flushes leaves the deadline later, together with what
 // was sent to the same peer meanwhile.
 func TestUDPDeadlineFlushesUndrivenSends(t *testing.T) {
 	const interval = 20 * time.Millisecond
-	server, rx := countingUDP(t, 42, UDPConfig{})
-	client, _ := countingUDP(t, 7, UDPConfig{FlushInterval: interval})
+	server, rx := countingUDP(t, 42, flushInterval)
+	client, _ := countingUDP(t, 7, interval)
 	setPeer(t, client, 42, server.LocalAddr().String())
 
 	start := time.Now()
@@ -88,11 +88,16 @@ func TestUDPDeadlineFlushesUndrivenSends(t *testing.T) {
 // goroutine, and each write is observed by the flush-wait histogram.
 func TestDrivenHostNeverReachesDeadline(t *testing.T) {
 	const turns = 200
-	server, rx := countingUDP(t, 42, UDPConfig{})
+	server, rx := countingUDP(t, 42, flushInterval)
 	// A turn that stalls for a quarter second may be flushed by the
 	// deadline; anything shorter must not be.
 	m := telemetry.NewTransportMetrics(telemetry.NewRegistry())
-	client, _ := countingUDP(t, 7, UDPConfig{FlushInterval: 250 * time.Millisecond, Metrics: m})
+	client, err := listenUDP("127.0.0.1:0", UDPConfig{Metrics: m}, 250*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	client.Attach(7)
 	setPeer(t, client, 42, server.LocalAddr().String())
 
 	eng := simnet.NewEngine(1)
@@ -248,7 +253,7 @@ func TestUDPSendRacingTeardown(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				client.reapOnce(time.Now().Add(2 * client.cfg.IdleTimeout)) // every empty queue is idle
+				client.reapOnce(time.Now().Add(2 * idleTimeout)) // every empty queue is idle
 				runtime.Gosched()
 			}
 		}
@@ -302,7 +307,7 @@ func TestUDPFlushZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sink.Close() })
-	client, _ := countingUDP(t, 7, UDPConfig{FlushInterval: time.Hour, IdleTimeout: time.Hour})
+	client, _ := countingUDP(t, 7, time.Hour)
 	const peers = 8
 	for i := 0; i < peers; i++ {
 		setPeer(t, client, simnet.NodeID(1000+i), sink.LocalAddr().String())
@@ -327,8 +332,8 @@ func TestUDPFlushZeroAlloc(t *testing.T) {
 // TestUDPHandleDatagramAllocs pins the receive path: a steady-state datagram
 // from a known peer costs the transport nothing on top of decoding its frame.
 func TestUDPHandleDatagramAllocs(t *testing.T) {
-	a, _ := countingUDP(t, 1, UDPConfig{})
-	b, rx := countingUDP(t, 2, UDPConfig{})
+	a, _ := countingUDP(t, 1, flushInterval)
+	b, rx := countingUDP(t, 2, flushInterval)
 	src := a.LocalAddr().AddrPort()
 	setPeer(t, b, 1, src.String())
 
@@ -359,8 +364,8 @@ func TestUDPHandleDatagramAllocs(t *testing.T) {
 // before Close are written by its final Flush, not dropped with the queues.
 func TestUDPCloseFlushes(t *testing.T) {
 	const frames = 50
-	server, rx := countingUDP(t, 42, UDPConfig{})
-	client, _ := countingUDP(t, 7, UDPConfig{FlushInterval: time.Hour})
+	server, rx := countingUDP(t, 42, flushInterval)
+	client, _ := countingUDP(t, 7, time.Hour)
 	setPeer(t, client, 42, server.LocalAddr().String())
 	for i := 0; i < frames; i++ {
 		if err := client.Send(7, 42, core.PullReq{}); err != nil {
@@ -379,8 +384,8 @@ func TestUDPCloseFlushes(t *testing.T) {
 // TestUDPSendRacingCloseIsCounted checks the other half: a frame accepted by
 // a Send that raced Close was either written or counted as dropped.
 func TestUDPSendRacingCloseIsCounted(t *testing.T) {
-	server, rx := countingUDP(t, 42, UDPConfig{})
-	client, _ := countingUDP(t, 7, UDPConfig{})
+	server, rx := countingUDP(t, 42, flushInterval)
+	client, _ := countingUDP(t, 7, flushInterval)
 	setPeer(t, client, 42, server.LocalAddr().String())
 
 	var wg sync.WaitGroup
