@@ -23,7 +23,8 @@ func buildCluster(t *testing.T, n int) (*simnet.Engine, []*Service, []simnet.Nod
 		for j := 1; j <= 3; j++ {
 			boot = append(boot, ids[(i+j)%n])
 		}
-		svc := New(net, ids[i], Config{ViewSize: 10}, boot, eng.DeriveRNG(int64(i)))
+		svc := New(net, ids[i], Config{}, boot, eng.DeriveRNG(int64(i)))
+		svc.viewSize = 10
 		services[i] = svc
 		net.Attach(ids[i], simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
 			svc.HandleMessage(from, msg)
@@ -172,7 +173,8 @@ func TestBootstrapExcludesSelf(t *testing.T) {
 func TestMergeKeepsFreshest(t *testing.T) {
 	eng := simnet.NewEngine(1)
 	net := simnet.NewNetwork(eng, simnet.ConstantLatency(1))
-	s := New(net, 1, Config{ViewSize: 4}, nil, eng.DeriveRNG(1))
+	s := New(net, 1, Config{}, nil, eng.DeriveRNG(1))
+	s.viewSize = 4
 	s.merge([]Descriptor{{ID: 5, Age: 9}})
 	s.merge([]Descriptor{{ID: 5, Age: 2}})
 	v := s.View()
@@ -189,7 +191,8 @@ func TestMergeKeepsFreshest(t *testing.T) {
 func TestMergeEvictsOldestWhenFull(t *testing.T) {
 	eng := simnet.NewEngine(1)
 	net := simnet.NewNetwork(eng, simnet.ConstantLatency(1))
-	s := New(net, 1, Config{ViewSize: 2}, nil, eng.DeriveRNG(1))
+	s := New(net, 1, Config{}, nil, eng.DeriveRNG(1))
+	s.viewSize = 2
 	s.merge([]Descriptor{{ID: 10, Age: 5}, {ID: 11, Age: 1}, {ID: 12, Age: 3}})
 	v := s.View()
 	if len(v) != 2 {

@@ -141,7 +141,7 @@ func TestRingConvergence(t *testing.T) {
 		for j := 1; j <= 3; j++ {
 			boot = append(boot, ids[(i+j)%n])
 		}
-		samplers[i] = sampling.New(net, ids[i], sampling.Config{ViewSize: 12}, boot, eng.DeriveRNG(int64(i)))
+		samplers[i] = sampling.New(net, ids[i], sampling.Config{}, boot, eng.DeriveRNG(int64(i)))
 		cb := Callbacks{
 			SelfDescriptor: func() Descriptor { return Descriptor{ID: ids[i]} },
 			SampleNodes: func() []Descriptor {
