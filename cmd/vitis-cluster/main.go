@@ -13,9 +13,10 @@
 //	vitis-cluster -node-bin /tmp/vitis-node -nodes 100 -bench-out BENCH.json
 //
 // The process exits non-zero when delivery falls below -min-delivery or
-// when goroutine counts keep growing across two post-drain scrapes (a
-// leak detector: a node's goroutine population does not depend on how many
-// peers it knows, so steady-state gossip must not mint new ones).
+// when goroutine counts grow by more than one per node across two
+// post-drain scrapes (a leak detector: a node's goroutine population does
+// not depend on how many peers it knows, so steady-state gossip must not
+// mint new ones).
 //
 // With -offline-frac F, every node runs with a durable event store and a
 // fraction F of the subscribers is held offline for the whole publish
@@ -29,27 +30,33 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"net/http"
 	"os"
-	"os/exec"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
-	"vitis/internal/telemetry"
+	"vitis/internal/harness"
 	"vitis/internal/workload"
+)
+
+// Deadlines and cadences of a run. They bound a cluster on one machine and
+// are not part of the workload, so they are not flags.
+const (
+	joinTimeout   = 3 * time.Minute // every node joins within this
+	drainTimeout  = 3 * time.Minute // counters go quiet within this after the window, and again after catch-up
+	stableFor     = 3 * time.Second // unchanged this long counts as drained; also the leak probe's gap
+	scrapeEvery   = time.Second     // monitor scrape cadence
+	scrapeWorkers = 16              // concurrent /metrics fetches per scrape
 )
 
 func main() {
@@ -61,23 +68,15 @@ func main() {
 	flag.Float64Var(&cfg.totalRate, "rate", 10, "cluster-wide publish rate in events/sec, split across topics")
 	flag.DurationVar(&cfg.publishFor, "publish-for", 30*time.Second, "publish window per node, measured from the end of its settle delay")
 	flag.DurationVar(&cfg.settle, "settle", 5*time.Second, "per-node delay between joining and publishing, letting the overlay converge")
-	flag.DurationVar(&cfg.joinTimeout, "join-timeout", 3*time.Minute, "deadline for every node to join the overlay")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 3*time.Minute, "deadline for delivery counters to go quiet after the window")
-	flag.DurationVar(&cfg.stableFor, "stable-for", 3*time.Second, "counters must be unchanged this long to count as drained")
 	flag.Int64Var(&cfg.periodMs, "period-ms", 500, "gossip and heartbeat period handed to every node")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload and identity seed")
 	flag.StringVar(&cfg.nodeBin, "node-bin", "", "path to the vitis-node binary (default: build it with 'go build')")
 	flag.StringVar(&cfg.benchOut, "bench-out", "", "write a benchmark JSON summary to this file")
 	flag.Float64Var(&cfg.minDelivery, "min-delivery", 0, "exit non-zero when delivery ratio falls below this")
-	flag.IntVar(&cfg.maxGoroutineGrowth, "max-goroutine-growth", 0,
-		"exit non-zero when total goroutines grew more than this across two post-drain scrapes (0 = nodes count)")
 	flag.Float64Var(&cfg.offlineFrac, "offline-frac", 0,
 		"fraction of subscriber nodes held offline during the publish window, rejoining afterwards to catch up from stores (0 = off)")
 	flag.StringVar(&cfg.storeDir, "store-dir", "",
-		"root directory for per-node event stores (default: a temp dir, removed on exit; implies stores only with -offline-frac)")
-	flag.DurationVar(&cfg.scrapeInterval, "scrape-interval", time.Second, "cadence of the monitoring scrape loop")
-	flag.DurationVar(&cfg.scrapeTimeout, "scrape-timeout", 5*time.Second, "per-node /metrics fetch timeout")
-	flag.IntVar(&cfg.scrapeWorkers, "scrape-workers", 16, "concurrent /metrics fetches per scrape")
+		"root directory for per-node event stores; setting it gives every node a store (default with -offline-frac: a temp dir, removed on exit)")
 	flag.BoolVar(&cfg.dash, "dash", false, "repaint a live ANSI dashboard on stdout after every scrape")
 	flag.StringVar(&cfg.dashAddr, "dash-addr", "", "HTTP address serving the live dashboard and /api/series (empty = off)")
 	flag.BoolVar(&cfg.alertsGate, "alerts-gate", false, "exit non-zero when any alert rule fired at any point during the run")
@@ -99,9 +98,9 @@ func main() {
 			sum.DeliveryRatio, cfg.minDelivery)
 		os.Exit(1)
 	}
-	if sum.GoroutineGrowth > sum.goroutineBudget {
-		fmt.Fprintf(os.Stderr, "vitis-cluster: goroutines grew by %d at steady state (budget %d) — leak?\n",
-			sum.GoroutineGrowth, sum.goroutineBudget)
+	if sum.GoroutineGrowth > int64(sum.Nodes) {
+		fmt.Fprintf(os.Stderr, "vitis-cluster: goroutines grew by %d at steady state (budget %d, one per node) — leak?\n",
+			sum.GoroutineGrowth, sum.Nodes)
 		os.Exit(1)
 	}
 }
@@ -111,16 +110,10 @@ type clusterConfig struct {
 	alpha, totalRate           float64
 	minDelivery                float64
 	publishFor, settle         time.Duration
-	joinTimeout, drainTimeout  time.Duration
-	stableFor                  time.Duration
 	periodMs, seed             int64
 	nodeBin, benchOut          string
-	maxGoroutineGrowth         int
 	offlineFrac                float64
 	storeDir                   string
-	scrapeInterval             time.Duration
-	scrapeTimeout              time.Duration
-	scrapeWorkers              int
 	dash                       bool
 	dashAddr                   string
 	alertsGate                 bool
@@ -175,123 +168,53 @@ type summary struct {
 	CatchUpDeliveries  uint64  `json:"catchup_deliveries,omitempty"`
 	StoreAppends       uint64  `json:"store_appends,omitempty"`
 	StoreRecords       uint64  `json:"store_records,omitempty"`
-
-	goroutineBudget int64
 }
 
-// nodeProc is one child process with its stdout scanned line by line.
-type nodeProc struct {
-	idx int
-	cmd *exec.Cmd
-
-	mu    sync.Mutex
-	log   []string
-	lines chan string
-
-	metricsAddr  string
-	publishTopic int // topic index this node publishes, -1 for none
-}
-
-const logKeep = 200 // stdout lines retained per node for error reports
-
-func startProc(bin string, args ...string) (*nodeProc, error) {
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
+// runCluster runs the six phases in order. plan and report are pure; launch,
+// join, load and drain drive the processes and hand the next phase a typed
+// result.
+func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
+	pl, err := buildPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	p := &nodeProc{cmd: cmd, lines: make(chan string, 4096), publishTopic: -1}
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			p.mu.Lock()
-			p.log = append(p.log, line)
-			if len(p.log) > logKeep {
-				p.log = p.log[len(p.log)-logKeep:]
-			}
-			p.mu.Unlock()
-			select {
-			case p.lines <- line:
-			default:
-			}
-		}
-		close(p.lines)
-	}()
-	return p, nil
-}
-
-// expect waits for a stdout line containing substr.
-func (p *nodeProc) expect(substr string, deadline time.Time) (string, error) {
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	for {
-		select {
-		case line, ok := <-p.lines:
-			if !ok {
-				return "", fmt.Errorf("node %d exited before printing %q; log tail:\n%s", p.idx, substr, p.dump())
-			}
-			if strings.Contains(line, substr) {
-				return line, nil
-			}
-		case <-timer.C:
-			return "", fmt.Errorf("node %d: timed out waiting for %q; log tail:\n%s", p.idx, substr, p.dump())
-		}
-	}
-}
-
-func (p *nodeProc) dump() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return strings.Join(p.log, "\n")
-}
-
-// terminate sends SIGTERM and waits briefly, escalating to SIGKILL.
-func (p *nodeProc) terminate() {
-	if p == nil || p.cmd.Process == nil {
-		return
-	}
-	p.cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() { p.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		p.cmd.Process.Kill()
-		<-done
-	}
-}
-
-// scrape GETs one node's /metrics and parses it; a malformed exposition is
-// an error, not a silently missing sample.
-func scrape(client *http.Client, addr string) (map[string]float64, error) {
-	resp, err := client.Get("http://" + addr + "/metrics")
+	c, err := launch(cfg, pl, out)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics on %s returned %d", addr, resp.StatusCode)
-	}
-	m, err := telemetry.ParseText(resp.Body)
+	defer c.close()
+	j, err := c.join()
 	if err != nil {
-		return nil, fmt.Errorf("/metrics on %s: %w", addr, err)
+		return nil, err
 	}
-	return m, nil
+	if err := c.load(); err != nil {
+		return nil, err
+	}
+	d, err := c.drain(j)
+	if err != nil {
+		return nil, err
+	}
+	s := report(cfg, pl, j, d, c.mon)
+	printReport(out, s, pl, d, c.mon)
+	if cfg.benchOut != "" {
+		if err := writeBench(cfg, s); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "benchmark summary written to %s\n", cfg.benchOut)
+	}
+	return s, nil
 }
 
 // plan is the workload assignment: who subscribes to what, who publishes
-// what at which rate.
+// what at which rate, who is held offline.
 type plan struct {
 	subsOf  [][]int   // topic -> subscriber node indices (publisher included)
 	pubOf   []int     // topic -> publisher node index
 	rates   []float64 // topic -> events/sec
 	subArgs []string  // node -> -subscribe value
 	pubArgs []string  // node -> -publish value ("" for non-publishers)
+	offline []int     // nodes started only after the publish window drained
+	stores  bool      // every node keeps a durable event store
 }
 
 // buildPlan derives the cluster workload from the generator: random
@@ -356,6 +279,12 @@ func buildPlan(cfg clusterConfig) (*plan, error) {
 		}
 		p.subArgs[n] = strings.Join(names, ",")
 	}
+	if p.offline, err = pickOffline(cfg, p); err != nil {
+		return nil, err
+	}
+	// The offline scenario persists every node's events so late joiners have
+	// stores to walk.
+	p.stores = len(p.offline) > 0 || cfg.storeDir != ""
 	return p, nil
 }
 
@@ -397,349 +326,364 @@ func pickOffline(cfg clusterConfig, pl *plan) ([]int, error) {
 	return offline, nil
 }
 
-func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
-	// Tests construct cfg directly, so zero values take the flag defaults.
-	if cfg.scrapeInterval <= 0 {
-		cfg.scrapeInterval = time.Second
-	}
-	if cfg.scrapeTimeout <= 0 {
-		cfg.scrapeTimeout = 5 * time.Second
-	}
-	if cfg.scrapeWorkers <= 0 {
-		cfg.scrapeWorkers = 16
-	}
-	pl, err := buildPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	offline, err := pickOffline(cfg, pl)
-	if err != nil {
-		return nil, err
-	}
-	// The offline scenario persists every node's events so late joiners have
-	// stores to walk.
-	storeRoot := cfg.storeDir
-	if len(offline) > 0 && storeRoot == "" {
-		storeRoot, err = os.MkdirTemp("", "vitis-cluster-store-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(storeRoot)
-	}
+// cluster is a launched run: the bootstrap, the node processes, and the
+// monitor every scrape feeds. close stops all of it.
+type cluster struct {
+	cfg clusterConfig
+	pl  *plan
+	out io.Writer
 
-	bin := cfg.nodeBin
-	if bin == "" {
-		bin = os.TempDir() + "/vitis-cluster-node"
-		if b, err := exec.Command("go", "build", "-o", bin, "vitis/cmd/vitis-node").CombinedOutput(); err != nil {
-			return nil, fmt.Errorf("building vitis-node: %v\n%s", err, b)
+	bin, storeRoot string
+	cleanup        []func() // temp dirs and the dashboard server, undone by close
+	started        time.Time
+	bs             *harness.Proc
+	bsAddr         string
+	procs          []*harness.Proc // by node index; nil until started
+	metricsAddrs   []string        // by node index; "" until the node reports it
+	mon            *monitor
+}
+
+// launch is phase two: it builds vitis-node if no binary was given, starts
+// the bootstrap, the monitor and every node that is not held offline.
+func launch(cfg clusterConfig, pl *plan, out io.Writer) (c *cluster, err error) {
+	c = &cluster{
+		cfg: cfg, pl: pl, out: out,
+		bin: cfg.nodeBin, storeRoot: cfg.storeDir,
+		procs:        make([]*harness.Proc, cfg.nodes),
+		metricsAddrs: make([]string, cfg.nodes),
+	}
+	defer func() {
+		if err != nil {
+			c.close()
+			c = nil
+		}
+	}()
+	tempDir := func(pattern string) (string, error) {
+		dir, err := os.MkdirTemp("", pattern)
+		if err == nil {
+			c.cleanup = append(c.cleanup, func() { os.RemoveAll(dir) })
+		}
+		return dir, err
+	}
+	if pl.stores && c.storeRoot == "" {
+		if c.storeRoot, err = tempDir("vitis-cluster-store-"); err != nil {
+			return c, err
+		}
+	}
+	if c.bin == "" {
+		dir, err := tempDir("vitis-cluster-bin-")
+		if err != nil {
+			return c, err
+		}
+		if c.bin, err = harness.Build(dir); err != nil {
+			return c, err
 		}
 	}
 
 	fmt.Fprintf(out, "cluster: %d nodes, %d topics, %d subs/node, %.1f ev/s for %s (seed %d)\n",
 		cfg.nodes, cfg.topics, cfg.subsPerNode, cfg.totalRate, cfg.publishFor, cfg.seed)
-
-	start := time.Now()
-	bs, err := startProc(bin, "-role", "bootstrap", "-listen", "127.0.0.1:0",
-		"-seed", "1", "-period-ms", strconv.FormatInt(cfg.periodMs, 10))
-	if err != nil {
-		return nil, err
+	c.started = time.Now()
+	if c.bs, err = harness.Start(c.bin, "-role", "bootstrap", "-listen", "127.0.0.1:0",
+		"-seed", "1", "-period-ms", strconv.FormatInt(cfg.periodMs, 10)); err != nil {
+		return c, err
 	}
-	defer bs.terminate()
-	line, err := bs.expect("listening on", time.Now().Add(15*time.Second))
+	line, err := c.bs.Expect("listening on", 15*time.Second)
 	if err != nil {
-		return nil, err
+		return c, fmt.Errorf("bootstrap: %w", err)
 	}
-	bsAddr := line[strings.LastIndex(line, " ")+1:]
+	c.bsAddr = harness.LastField(line)
 	if cfg.verbose {
-		fmt.Fprintf(out, "bootstrap on %s\n", bsAddr)
-	}
-
-	procs := make([]*nodeProc, cfg.nodes)
-	defer func() {
-		var wg sync.WaitGroup
-		for _, p := range procs {
-			if p == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(p *nodeProc) { defer wg.Done(); p.terminate() }(p)
-		}
-		wg.Wait()
-	}()
-	offlineSet := make(map[int]bool, len(offline))
-	for _, i := range offline {
-		offlineSet[i] = true
-	}
-	// startNode launches node i with its workload arguments (and a private
-	// store directory when the offline scenario is active).
-	startNode := func(i int) error {
-		args := []string{
-			"-listen", "127.0.0.1:0", "-bootstrap", bsAddr, "-quiet",
-			"-seed", strconv.Itoa(i + 2),
-			"-period-ms", strconv.FormatInt(cfg.periodMs, 10),
-			"-metrics-addr", "127.0.0.1:0",
-			"-publish-for", cfg.publishFor.String(),
-			"-publish-delay", cfg.settle.String(),
-		}
-		if storeRoot != "" {
-			args = append(args, "-store", fmt.Sprintf("%s/node-%03d", storeRoot, i))
-		}
-		if pl.subArgs[i] != "" {
-			args = append(args, "-subscribe", pl.subArgs[i])
-		}
-		if pl.pubArgs[i] != "" {
-			args = append(args, "-publish", pl.pubArgs[i])
-		}
-		p, err := startProc(bin, args...)
-		if err != nil {
-			return err
-		}
-		p.idx = i
-		procs[i] = p
-		time.Sleep(2 * time.Millisecond) // soften the join stampede
-		return nil
-	}
-	// awaitJoin waits for the given nodes to report their metrics address
-	// and overlay membership.
-	awaitJoin := func(idxs []int, deadline time.Time) error {
-		for _, i := range idxs {
-			p := procs[i]
-			line, err := p.expect("metrics listening on", deadline)
-			if err != nil {
-				return err
-			}
-			p.metricsAddr = line[strings.LastIndex(line, " ")+1:]
-		}
-		for _, i := range idxs {
-			if _, err := procs[i].expect("joined with", deadline); err != nil {
-				return err
-			}
-			if cfg.verbose {
-				fmt.Fprintf(out, "node %d joined\n", i)
-			}
-		}
-		return nil
-	}
-
-	var onlineIdx []int
-	for i := 0; i < cfg.nodes; i++ {
-		if offlineSet[i] {
-			continue
-		}
-		if err := startNode(i); err != nil {
-			return nil, err
-		}
-		onlineIdx = append(onlineIdx, i)
-	}
-	if err := awaitJoin(onlineIdx, time.Now().Add(cfg.joinTimeout)); err != nil {
-		return nil, err
-	}
-	joinSec := time.Since(start).Seconds()
-	joined := time.Now()
-	if len(offline) > 0 {
-		fmt.Fprintf(out, "all %d online nodes joined in %.1fs (%d subscribers held offline)\n",
-			len(onlineIdx), joinSec, len(offline))
-	} else {
-		fmt.Fprintf(out, "all %d nodes joined in %.1fs\n", cfg.nodes, joinSec)
-	}
-
-	// scrapeAll reads every running node's /metrics through a bounded worker
-	// pool, each fetch under its own timeout. Results land at the node's
-	// index, so the output order is deterministic regardless of completion
-	// order; nodes not started yet contribute an empty sample map, keeping
-	// indices aligned with the plan.
-	client := &http.Client{Timeout: cfg.scrapeTimeout}
-	scrapeAll := func() ([]map[string]float64, error) {
-		ms := make([]map[string]float64, len(procs))
-		errs := make([]error, len(procs))
-		sem := make(chan struct{}, cfg.scrapeWorkers)
-		var wg sync.WaitGroup
-		for i, p := range procs {
-			if p == nil || p.metricsAddr == "" {
-				ms[i] = map[string]float64{}
-				continue
-			}
-			wg.Add(1)
-			go func(i int, p *nodeProc) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				ms[i], errs[i] = scrape(client, p.metricsAddr)
-			}(i, p)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("node %d: %w; log tail:\n%s", i, err, procs[i].dump())
-			}
-		}
-		return ms, nil
-	}
-	sumOf := func(ms []map[string]float64, name string) float64 {
-		var s float64
-		for _, m := range ms {
-			s += m[name]
-		}
-		return s
+		fmt.Fprintf(out, "bootstrap on %s\n", c.bsAddr)
 	}
 
 	// The monitor streams every scrape from here on into its collector,
 	// evaluates the alert rules, and drives the -dash / -dash-addr views.
-	mon := newMonitor(cfg.nodes, cfg.scrapeInterval.Milliseconds(), cfg.dash, out)
+	c.mon = newMonitor(cfg.nodes, scrapeEvery.Milliseconds(), cfg.dash, out)
 	if cfg.dashAddr != "" {
-		dashSrv, dashListen, err := mon.serveDash(cfg.dashAddr)
+		srv, addr, err := c.mon.serveDash(cfg.dashAddr)
 		if err != nil {
-			return nil, err
+			return c, err
 		}
-		defer dashSrv.Close()
-		fmt.Fprintf(out, "dashboard on http://%s (JSON: /api/series)\n", dashListen)
-	}
-	monScrape := func() ([]map[string]float64, error) {
-		ms, err := scrapeAll()
-		if err != nil {
-			return nil, err
-		}
-		mon.observe(time.Now().UnixMilli(), ms)
-		return ms, nil
+		c.cleanup = append(c.cleanup, func() { srv.Close() })
+		fmt.Fprintf(out, "dashboard on http://%s (JSON: /api/series)\n", addr)
 	}
 
-	joinedScrape, err := monScrape()
+	offline := make(map[int]bool, len(pl.offline))
+	for _, i := range pl.offline {
+		offline[i] = true
+	}
+	for i := 0; i < cfg.nodes; i++ {
+		if !offline[i] {
+			if err := c.start(i); err != nil {
+				return c, err
+			}
+		}
+	}
+	return c, nil
+}
+
+// start launches node i with its workload arguments (and a private store
+// directory when the plan asks for stores).
+func (c *cluster) start(i int) error {
+	args := []string{
+		"-listen", "127.0.0.1:0", "-bootstrap", c.bsAddr, "-quiet",
+		"-seed", strconv.Itoa(i + 2),
+		"-period-ms", strconv.FormatInt(c.cfg.periodMs, 10),
+		"-metrics-addr", "127.0.0.1:0",
+		"-publish-for", c.cfg.publishFor.String(),
+		"-publish-delay", c.cfg.settle.String(),
+	}
+	if c.pl.stores {
+		args = append(args, "-store", fmt.Sprintf("%s/node-%03d", c.storeRoot, i))
+	}
+	if c.pl.subArgs[i] != "" {
+		args = append(args, "-subscribe", c.pl.subArgs[i])
+	}
+	if c.pl.pubArgs[i] != "" {
+		args = append(args, "-publish", c.pl.pubArgs[i])
+	}
+	p, err := harness.Start(c.bin, args...)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	c.procs[i] = p
+	time.Sleep(2 * time.Millisecond) // soften the join stampede
+	return nil
+}
 
-	// Let every publish window run out (settle delay plus the window
-	// itself), scraping the fleet on the monitor cadence the whole time,
-	// then wait for the delivery counters to go quiet: all in-flight events
-	// drained.
-	windowEnd := time.Now().Add(cfg.settle + cfg.publishFor)
-	for {
-		d := time.Until(windowEnd)
-		if d <= 0 {
-			break
-		}
-		if d > cfg.scrapeInterval {
-			d = cfg.scrapeInterval
-		}
-		time.Sleep(d)
-		if _, err := monScrape(); err != nil {
-			return nil, err
-		}
-	}
-	drainDeadline := time.Now().Add(cfg.drainTimeout)
-	var finalScrape []map[string]float64
-	lastPub, lastDel, stableSince := -1.0, -1.0, time.Now()
-	for {
-		ms, err := monScrape()
+// await waits for the given nodes to report their metrics address and
+// overlay membership, all within one joinTimeout.
+func (c *cluster) await(idxs []int) error {
+	deadline := time.Now().Add(joinTimeout)
+	for _, i := range idxs {
+		line, err := c.procs[i].Expect("metrics listening on", time.Until(deadline))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("node %d: %w", i, err)
 		}
-		pub, del := sumOf(ms, "vitis_core_published_total"), sumOf(ms, "vitis_core_deliveries_total")
-		if pub != lastPub || del != lastDel {
-			lastPub, lastDel, stableSince = pub, del, time.Now()
-		} else if time.Since(stableSince) >= cfg.stableFor && pub > 0 {
-			finalScrape = ms
-			break
-		}
-		if time.Now().After(drainDeadline) {
-			return nil, fmt.Errorf("counters never stabilised: published=%v delivered=%v", pub, del)
-		}
-		time.Sleep(cfg.scrapeInterval)
+		c.metricsAddrs[i] = harness.LastField(line)
 	}
-	loadSec := time.Since(joined).Seconds()
+	for _, i := range idxs {
+		if _, err := c.procs[i].Expect("joined with", time.Until(deadline)); err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
+		}
+		if c.cfg.verbose {
+			fmt.Fprintf(c.out, "node %d joined\n", i)
+		}
+	}
+	return nil
+}
 
-	// Offline-subscriber catch-up phase: the held-back subscribers start
-	// only now, after the publish window closed and drained, so nothing can
-	// reach them through live dissemination — every delivery they make must
-	// come off a neighbor's store. The phase ends when all their catch-up
-	// walks retire and their delivery counters go quiet.
-	var catchUpSec float64
-	if len(offline) > 0 {
-		fmt.Fprintf(out, "starting %d offline subscribers for catch-up\n", len(offline))
+// close stops every process, the dashboard server and the temp dirs.
+func (c *cluster) close() {
+	var wg sync.WaitGroup
+	for _, p := range c.procs {
+		if p != nil {
+			wg.Add(1)
+			go func() { defer wg.Done(); p.Stop() }()
+		}
+	}
+	wg.Wait()
+	if c.bs != nil {
+		c.bs.Stop()
+	}
+	for _, f := range c.cleanup {
+		f()
+	}
+}
+
+// scrape reads every started node's /metrics through a bounded worker pool,
+// each fetch under its own timeout, and feeds the result to the monitor.
+// Results land at the node's index, so the order is deterministic whatever
+// the completion order; nodes not started yet contribute an empty map,
+// keeping indices aligned with the plan.
+func (c *cluster) scrape() ([]map[string]float64, error) {
+	ms := make([]map[string]float64, len(c.procs))
+	errs := make([]error, len(c.procs))
+	sem := make(chan struct{}, scrapeWorkers)
+	var wg sync.WaitGroup
+	for i, addr := range c.metricsAddrs {
+		if addr == "" {
+			ms[i] = map[string]float64{}
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			ms[i], errs[i] = harness.Scrape(addr)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w; log tail:\n%s", i, err, c.procs[i].Log())
+		}
+	}
+	c.mon.observe(time.Now().UnixMilli(), ms)
+	return ms, nil
+}
+
+// joined is the join phase's result.
+type joined struct {
+	sec    float64              // launch to the last online node joined
+	at     time.Time            // when it joined
+	scrape []map[string]float64 // the first scrape after join
+}
+
+// join is phase three: every online node reports in, then the fleet's
+// first scrape.
+func (c *cluster) join() (joined, error) {
+	var online []int
+	for i, p := range c.procs {
+		if p != nil {
+			online = append(online, i)
+		}
+	}
+	if err := c.await(online); err != nil {
+		return joined{}, err
+	}
+	j := joined{sec: time.Since(c.started).Seconds(), at: time.Now()}
+	if n := len(c.pl.offline); n > 0 {
+		fmt.Fprintf(c.out, "all %d online nodes joined in %.1fs (%d subscribers held offline)\n", len(online), j.sec, n)
+	} else {
+		fmt.Fprintf(c.out, "all %d nodes joined in %.1fs\n", len(online), j.sec)
+	}
+	var err error
+	j.scrape, err = c.scrape()
+	return j, err
+}
+
+// load is phase four: every node's settle delay and publish window run
+// out while the fleet is scraped on the monitor cadence.
+func (c *cluster) load() error {
+	end := time.Now().Add(c.cfg.settle + c.cfg.publishFor)
+	for d := time.Until(end); d > 0; d = time.Until(end) {
+		time.Sleep(min(d, scrapeEvery))
+		if _, err := c.scrape(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drained is the drain phase's result.
+type drained struct {
+	final      []map[string]float64 // every node, once all deliveries are in
+	steady     []map[string]float64 // stableFor later: the leak probe
+	loadSec    float64              // join to the online cluster drained
+	catchUpSec float64              // offline subscribers' start to their walks retired
+}
+
+// drain is phase five. The online cluster's published and delivered counters
+// go quiet first. Then the offline subscribers start: nothing reaches them
+// through live dissemination any more, so every delivery they make comes off
+// a neighbor's store, and the phase waits for their catch-up walks to
+// retire and their deliveries to go quiet. Last comes the leak probe: with
+// only background gossip running, the goroutine population must be flat.
+func (c *cluster) drain(j joined) (drained, error) {
+	var d drained
+	var pub, del float64
+	err := harness.Settle(drainTimeout, stableFor, scrapeEvery, func() (float64, bool, error) {
+		ms, err := c.scrape()
+		if err != nil {
+			return 0, false, err
+		}
+		d.final = ms
+		pub, del = sumOf(ms, "vitis_core_published_total"), sumOf(ms, "vitis_core_deliveries_total")
+		return pub + del, pub > 0, nil
+	})
+	if err != nil {
+		return d, fmt.Errorf("draining (published=%v delivered=%v): %w", pub, del, err)
+	}
+	d.loadSec = time.Since(j.at).Seconds()
+
+	if late := c.pl.offline; len(late) > 0 {
+		fmt.Fprintf(c.out, "starting %d offline subscribers for catch-up\n", len(late))
 		lateStart := time.Now()
-		for _, i := range offline {
-			if err := startNode(i); err != nil {
-				return nil, err
+		for _, i := range late {
+			if err := c.start(i); err != nil {
+				return d, err
 			}
 		}
-		if err := awaitJoin(offline, time.Now().Add(cfg.joinTimeout)); err != nil {
-			return nil, err
+		if err := c.await(late); err != nil {
+			return d, err
 		}
-		lateDeadline := time.Now().Add(cfg.drainTimeout)
-		lastDel, stableSince := -1.0, time.Now()
-		for {
-			ms, err := monScrape()
+		var pending float64
+		err := harness.Settle(drainTimeout, stableFor, scrapeEvery, func() (float64, bool, error) {
+			ms, err := c.scrape()
 			if err != nil {
-				return nil, err
+				return 0, false, err
 			}
-			var del, pending float64
-			for _, i := range offline {
+			del, pending = 0, 0
+			for _, i := range late {
 				del += ms[i]["vitis_core_deliveries_total"]
 				pending += ms[i]["vitis_store_catchup_topics_pending"]
 			}
-			if del != lastDel {
-				lastDel, stableSince = del, time.Now()
-			} else if pending == 0 && time.Since(stableSince) >= cfg.stableFor {
-				break
-			}
-			if time.Now().After(lateDeadline) {
-				return nil, fmt.Errorf("catch-up never drained: late deliveries=%v pending walks=%v", del, pending)
-			}
-			time.Sleep(cfg.scrapeInterval)
+			return del, pending == 0, nil
+		})
+		if err != nil {
+			return d, fmt.Errorf("catch-up (late deliveries=%v pending walks=%v): %w", del, pending, err)
 		}
-		catchUpSec = time.Since(lateStart).Seconds()
-		if finalScrape, err = monScrape(); err != nil {
-			return nil, err
+		d.catchUpSec = time.Since(lateStart).Seconds()
+		if d.final, err = c.scrape(); err != nil {
+			return d, err
 		}
 	}
 
-	// Leak detector: with the system drained and only background gossip
-	// running, the goroutine population must be flat. A node that starts
-	// a goroutine per peer keeps growing here as shuffles touch new peers.
-	time.Sleep(cfg.stableFor)
-	steadyScrape, err := monScrape()
-	if err != nil {
-		return nil, err
-	}
+	time.Sleep(stableFor)
+	d.steady, err = c.scrape()
+	return d, err
+}
 
+func sumOf(ms []map[string]float64, name string) float64 {
+	var s float64
+	for _, m := range ms {
+		s += m[name]
+	}
+	return s
+}
+
+// report is phase six: the run summary, computed from the typed phase
+// results and the monitor alone.
+func report(cfg clusterConfig, pl *plan, j joined, d drained, mon *monitor) *summary {
+	final := d.final
 	// Exact delivery accounting: each topic has one dedicated publisher,
 	// so its published counter is the per-topic event count.
 	var expected, published uint64
 	for t := range pl.pubOf {
-		n := uint64(finalScrape[pl.pubOf[t]]["vitis_core_published_total"])
+		n := uint64(final[pl.pubOf[t]]["vitis_core_published_total"])
 		published += n
 		expected += n * uint64(len(pl.subsOf[t]))
 	}
-	delivered := uint64(sumOf(finalScrape, "vitis_core_deliveries_total"))
+	delivered := uint64(sumOf(final, "vitis_core_deliveries_total"))
 
 	s := &summary{
 		Nodes: cfg.nodes, Topics: cfg.topics, SubsPerNode: cfg.subsPerNode,
 		Alpha: cfg.alpha, TotalRate: cfg.totalRate,
 		PublishWindowSec: cfg.publishFor.Seconds(), PeriodMs: cfg.periodMs,
-		JoinSec: joinSec, DurationSec: loadSec,
+		JoinSec: j.sec, DurationSec: d.loadSec,
 		Published: published, Expected: expected, Delivered: delivered,
 		Cores:            runtime.NumCPU(),
-		TxFrames:         uint64(sumOf(finalScrape, "vitis_transport_tx_frames_total")),
-		TxDatagrams:      uint64(sumOf(finalScrape, "vitis_transport_tx_datagrams_total")),
-		TxBytes:          uint64(sumOf(finalScrape, "vitis_transport_tx_bytes_total")),
-		RxBytes:          uint64(sumOf(finalScrape, "vitis_transport_rx_bytes_total")),
-		TxDropped:        uint64(sumOf(finalScrape, "vitis_transport_tx_dropped_total")),
-		InboxDrops:       uint64(sumOf(finalScrape, "vitis_host_inbox_drops_total")),
-		PeakRSSTotal:     uint64(sumOf(finalScrape, "vitis_proc_max_rss_bytes")),
-		GoroutinesJoined: int64(sumOf(joinedScrape, "vitis_go_goroutines")),
-		GoroutinesFinal:  int64(sumOf(finalScrape, "vitis_go_goroutines")),
+		TxFrames:         uint64(sumOf(final, "vitis_transport_tx_frames_total")),
+		TxDatagrams:      uint64(sumOf(final, "vitis_transport_tx_datagrams_total")),
+		TxBytes:          uint64(sumOf(final, "vitis_transport_tx_bytes_total")),
+		RxBytes:          uint64(sumOf(final, "vitis_transport_rx_bytes_total")),
+		TxDropped:        uint64(sumOf(final, "vitis_transport_tx_dropped_total")),
+		InboxDrops:       uint64(sumOf(final, "vitis_host_inbox_drops_total")),
+		PeakRSSTotal:     uint64(sumOf(final, "vitis_proc_max_rss_bytes")),
+		GoroutinesJoined: int64(sumOf(j.scrape, "vitis_go_goroutines")),
+		GoroutinesFinal:  int64(sumOf(final, "vitis_go_goroutines")),
 	}
-	for _, m := range finalScrape {
-		if rss := uint64(m["vitis_proc_max_rss_bytes"]); rss > s.PeakRSSMax {
-			s.PeakRSSMax = rss
-		}
+	for _, m := range final {
+		s.PeakRSSMax = max(s.PeakRSSMax, uint64(m["vitis_proc_max_rss_bytes"]))
 		s.GoroutinesMax = max(s.GoroutinesMax, int64(m["vitis_go_goroutines"]))
 	}
 	if expected > 0 {
 		s.DeliveryRatio = float64(delivered) / float64(expected)
 	}
-	if loadSec > 0 {
-		s.MsgsPerSec = float64(delivered) / loadSec
+	if d.loadSec > 0 {
+		s.MsgsPerSec = float64(delivered) / d.loadSec
 		s.MsgsPerSecCore = s.MsgsPerSec / float64(s.Cores)
 	}
 	if s.TxDatagrams > 0 {
@@ -748,12 +692,8 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 	if delivered > 0 {
 		s.BytesPerDelivery = float64(s.TxBytes) / float64(delivered)
 	}
-	s.GoroutineGrowth = int64(sumOf(steadyScrape, "vitis_go_goroutines")) - s.GoroutinesFinal
-	s.ProfileWants = uint64(sumOf(steadyScrape, "vitis_core_profile_wants_total") - sumOf(finalScrape, "vitis_core_profile_wants_total"))
-	s.goroutineBudget = int64(cfg.maxGoroutineGrowth)
-	if s.goroutineBudget == 0 {
-		s.goroutineBudget = int64(cfg.nodes)
-	}
+	s.GoroutineGrowth = int64(sumOf(d.steady, "vitis_go_goroutines")) - s.GoroutinesFinal
+	s.ProfileWants = uint64(sumOf(d.steady, "vitis_core_profile_wants_total") - sumOf(final, "vitis_core_profile_wants_total"))
 	s.AlertsFired = mon.firedEver()
 	if p50 := mon.col.Quantile(deliveryLatencyMetric, 0.5); !math.IsNaN(p50) {
 		s.DeliveryP50Sec = p50
@@ -761,24 +701,29 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 	if p99 := mon.col.Quantile(deliveryLatencyMetric, 0.99); !math.IsNaN(p99) {
 		s.DeliveryP99Sec = p99
 	}
+	if pl.stores {
+		s.OfflineNodes = len(pl.offline)
+		s.CatchUpSec = d.catchUpSec
+		s.CatchUpRequests = uint64(sumOf(final, "vitis_store_catchup_requests_total"))
+		s.CatchUpServed = uint64(sumOf(final, "vitis_store_catchup_served_events_total"))
+		s.CatchUpServedBytes = uint64(sumOf(final, "vitis_store_catchup_served_bytes_total"))
+		s.CatchUpDeliveries = uint64(sumOf(final, "vitis_store_catchup_deliveries_total"))
+		s.StoreAppends = uint64(sumOf(final, "vitis_store_appends_total"))
+		s.StoreRecords = uint64(sumOf(final, "vitis_store_records"))
+	}
+	return s
+}
 
+// printReport writes the aggregated table and the summary lines.
+func printReport(out io.Writer, s *summary, pl *plan, d drained, mon *monitor) {
 	rows := tableRows
-	if storeRoot != "" {
-		s.OfflineNodes = len(offline)
-		s.CatchUpSec = catchUpSec
-		s.CatchUpRequests = uint64(sumOf(finalScrape, "vitis_store_catchup_requests_total"))
-		s.CatchUpServed = uint64(sumOf(finalScrape, "vitis_store_catchup_served_events_total"))
-		s.CatchUpServedBytes = uint64(sumOf(finalScrape, "vitis_store_catchup_served_bytes_total"))
-		s.CatchUpDeliveries = uint64(sumOf(finalScrape, "vitis_store_catchup_deliveries_total"))
-		s.StoreAppends = uint64(sumOf(finalScrape, "vitis_store_appends_total"))
-		s.StoreRecords = uint64(sumOf(finalScrape, "vitis_store_records"))
+	if pl.stores {
 		rows = append(append([]string{}, tableRows...), storeRows...)
 	}
-
-	printTable(out, finalScrape, rows)
+	printTable(out, d.final, rows)
 	fmt.Fprintf(out, "\npublished=%d expected=%d delivered=%d ratio=%.4f\n",
-		published, expected, delivered, s.DeliveryRatio)
-	if storeRoot != "" {
+		s.Published, s.Expected, s.Delivered, s.DeliveryRatio)
+	if pl.stores {
 		fmt.Fprintf(out, "catch-up: %d offline subscribers backfilled in %.1fs: %d deliveries via catch-up, %d events / %d bytes served from stores (%d records across the cluster)\n",
 			s.OfflineNodes, s.CatchUpSec, s.CatchUpDeliveries, s.CatchUpServed, s.CatchUpServedBytes, s.StoreRecords)
 	}
@@ -790,21 +735,13 @@ func runCluster(cfg clusterConfig, out io.Writer) (*summary, error) {
 		fmt.Fprintf(out, "alerts: none fired across %d scrapes\n", scrapes)
 	}
 	fmt.Fprintf(out, "load ran %.1fs: %.1f delivered msgs/sec (%.1f per core, %d cores)\n",
-		loadSec, s.MsgsPerSec, s.MsgsPerSecCore, s.Cores)
+		s.DurationSec, s.MsgsPerSec, s.MsgsPerSecCore, s.Cores)
 	fmt.Fprintf(out, "wire: %d frames in %d datagrams (%.2f frames/datagram), %d tx bytes, %d rx bytes, %.0f wire bytes/delivery\n",
 		s.TxFrames, s.TxDatagrams, s.FramesPerDgram, s.TxBytes, s.RxBytes, s.BytesPerDelivery)
 	fmt.Fprintf(out, "memory: peak RSS max %.1f MiB per node, %.1f MiB total; goroutines %d at join -> %d drained (at most %d per node), steady growth %d over %s (budget %d)\n",
 		float64(s.PeakRSSMax)/(1<<20), float64(s.PeakRSSTotal)/(1<<20),
-		s.GoroutinesJoined, s.GoroutinesFinal, s.GoroutinesMax, s.GoroutineGrowth, cfg.stableFor, s.goroutineBudget)
-	fmt.Fprintf(out, "quiet heartbeats: %d profile Wants over the same %s\n", s.ProfileWants, cfg.stableFor)
-
-	if cfg.benchOut != "" {
-		if err := writeBench(cfg, s); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "benchmark summary written to %s\n", cfg.benchOut)
-	}
-	return s, nil
+		s.GoroutinesJoined, s.GoroutinesFinal, s.GoroutinesMax, s.GoroutineGrowth, stableFor, s.Nodes)
+	fmt.Fprintf(out, "quiet heartbeats: %d profile Wants over the same %s\n", s.ProfileWants, stableFor)
 }
 
 // tableRows picks the metrics worth a column in the aggregated table.
@@ -876,7 +813,7 @@ func writeBench(cfg clusterConfig, s *summary) error {
 		cfg.nodes, cfg.topics, cfg.subsPerNode, cfg.alpha, cfg.totalRate, cfg.publishFor, cfg.settle, cfg.periodMs, cfg.seed)
 	notes := []string{
 		"expected_deliveries = sum over topics of published(topic) x subscribers(topic); each topic has one dedicated publisher, itself a subscriber",
-		"goroutines_steady_growth compares vitis_go_goroutines totals across two post-drain scrapes one stable-for apart; a goroutine leaked per peer or per message grows here",
+		fmt.Sprintf("goroutines_steady_growth compares vitis_go_goroutines totals across two post-drain scrapes %s apart; a goroutine leaked per peer or per message grows here", stableFor),
 		"profile_wants_steady_growth is the rise of vitis_core_profile_wants_total across the same two scrapes: one Want per new routing-table edge or lost full profile, far fewer than one per heartbeat",
 	}
 	if cfg.offlineFrac > 0 {

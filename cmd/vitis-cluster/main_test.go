@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
-	"path/filepath"
+	"io"
+	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"vitis/internal/harness"
 )
 
 // TestBuildPlanAssignsDistinctPublishers checks the workload plan
@@ -51,6 +54,71 @@ func TestBuildPlanRejectsTooManyTopics(t *testing.T) {
 	}
 }
 
+// TestReport checks the report phase on canned scrapes, without a
+// process: exact expected-delivery arithmetic (published x subscribers per
+// topic), the wire and memory folds, the leak probe's goroutine growth and
+// the store rows of the offline scenario.
+func TestReport(t *testing.T) {
+	cfg := clusterConfig{nodes: 4, topics: 2, publishFor: 10 * time.Second, periodMs: 200}
+	pl := &plan{
+		subsOf:  [][]int{{0, 1, 2}, {1, 3}},
+		pubOf:   []int{0, 1},
+		offline: []int{3},
+		stores:  true,
+	}
+	node := func(pub, del, gr, rss float64) map[string]float64 {
+		return map[string]float64{
+			"vitis_core_published_total":           pub,
+			"vitis_core_deliveries_total":          del,
+			"vitis_go_goroutines":                  gr,
+			"vitis_proc_max_rss_bytes":             rss,
+			"vitis_transport_tx_frames_total":      50,
+			"vitis_transport_tx_datagrams_total":   25,
+			"vitis_transport_tx_bytes_total":       925,
+			"vitis_store_catchup_deliveries_total": 1,
+		}
+	}
+	final := []map[string]float64{node(10, 10, 10, 4<<20), node(4, 14, 10, 6<<20), node(0, 9, 11, 5<<20), node(0, 4, 12, 5<<20)}
+	final[0]["vitis_core_profile_wants_total"] = 5
+	steady := []map[string]float64{{"vitis_go_goroutines": 44, "vitis_core_profile_wants_total": 7}}
+	j := joined{sec: 2.5, scrape: []map[string]float64{{"vitis_go_goroutines": 40}}}
+	d := drained{final: final, steady: steady, loadSec: 10, catchUpSec: 4}
+	mon := newMonitor(cfg.nodes, 1000, false, io.Discard)
+
+	s := report(cfg, pl, j, d, mon)
+	// Topic 0: 10 events x 3 subscribers; topic 1: 4 x 2. One delivery lost.
+	if s.Published != 14 || s.Expected != 38 || s.Delivered != 37 {
+		t.Fatalf("published/expected/delivered = %d/%d/%d, want 14/38/37", s.Published, s.Expected, s.Delivered)
+	}
+	if math.Abs(s.DeliveryRatio-37.0/38) > 1e-12 || s.MsgsPerSec != 3.7 {
+		t.Fatalf("ratio %v, msgs/sec %v", s.DeliveryRatio, s.MsgsPerSec)
+	}
+	if s.FramesPerDgram != 2 || s.BytesPerDelivery != 100 {
+		t.Fatalf("frames/datagram %v, bytes/delivery %v, want 2 and 100", s.FramesPerDgram, s.BytesPerDelivery)
+	}
+	if s.GoroutinesJoined != 40 || s.GoroutinesFinal != 43 || s.GoroutinesMax != 12 || s.GoroutineGrowth != 1 {
+		t.Fatalf("goroutines joined/final/max/growth = %d/%d/%d/%d, want 40/43/12/1",
+			s.GoroutinesJoined, s.GoroutinesFinal, s.GoroutinesMax, s.GoroutineGrowth)
+	}
+	if s.PeakRSSMax != 6<<20 || s.PeakRSSTotal != 20<<20 || s.ProfileWants != 2 {
+		t.Fatalf("rss max/total %d/%d, wants %d", s.PeakRSSMax, s.PeakRSSTotal, s.ProfileWants)
+	}
+	if s.OfflineNodes != 1 || s.CatchUpSec != 4 || s.CatchUpDeliveries != 4 {
+		t.Fatalf("offline %d, catch-up %vs with %d deliveries", s.OfflineNodes, s.CatchUpSec, s.CatchUpDeliveries)
+	}
+	if s.DeliveryP50Sec != 0 || len(s.AlertsFired) != 0 {
+		t.Fatalf("latency %v and alerts %v from a monitor that saw no scrape", s.DeliveryP50Sec, s.AlertsFired)
+	}
+
+	var out bytes.Buffer
+	printReport(&out, s, pl, d, mon)
+	for _, want := range []string{"published=14 expected=38 delivered=37 ratio=0.9737", "vitis_store_catchup_deliveries_total", "catch-up: 1 offline"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestClusterCatchUpSmoke runs the offline-subscriber scenario on a real
 // 16-process cluster: every node keeps a durable store, ~20% of the
 // subscribers are down for the whole publish window, and after rejoining
@@ -59,15 +127,11 @@ func TestClusterCatchUpSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process cluster in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "vitis-node")
-	if out, err := exec.Command("go", "build", "-o", bin, "vitis/cmd/vitis-node").CombinedOutput(); err != nil {
-		t.Fatalf("building vitis-node: %v\n%s", err, out)
-	}
+	bin := harness.BuildT(t, t.TempDir())
 	cfg := clusterConfig{
 		nodes: 16, topics: 6, subsPerNode: 3, alpha: 1.0, totalRate: 12,
 		publishFor: 8 * time.Second, settle: 3 * time.Second,
-		joinTimeout: 2 * time.Minute, drainTimeout: 2 * time.Minute,
-		stableFor: 3 * time.Second, periodMs: 200, seed: 42,
+		periodMs: 200, seed: 42,
 		nodeBin: bin, offlineFrac: 0.2,
 	}
 	var buf bytes.Buffer
@@ -101,15 +165,11 @@ func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process cluster in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "vitis-node")
-	if out, err := exec.Command("go", "build", "-o", bin, "vitis/cmd/vitis-node").CombinedOutput(); err != nil {
-		t.Fatalf("building vitis-node: %v\n%s", err, out)
-	}
+	bin := harness.BuildT(t, t.TempDir())
 	cfg := clusterConfig{
 		nodes: 16, topics: 6, subsPerNode: 3, alpha: 1.0, totalRate: 12,
 		publishFor: 8 * time.Second, settle: 3 * time.Second,
-		joinTimeout: 2 * time.Minute, drainTimeout: 2 * time.Minute,
-		stableFor: 3 * time.Second, periodMs: 200, seed: 42,
+		periodMs: 200, seed: 42,
 		nodeBin: bin,
 	}
 	var buf bytes.Buffer

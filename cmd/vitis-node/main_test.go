@@ -1,136 +1,28 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"vitis/internal/harness"
 	"vitis/internal/telemetry"
 )
 
-// proc wraps one vitis-node process under test, with its stdout scanned
-// line by line.
-type proc struct {
-	cmd   *exec.Cmd
-	lines chan string
-
-	mu  sync.Mutex
-	log []string
-}
-
-func startProc(t *testing.T, ctx context.Context, bin string, args ...string) *proc {
+// scrape reads a node's /metrics; a failure ends the test.
+func scrape(t *testing.T, addr string) map[string]float64 {
 	t.Helper()
-	cmd := exec.CommandContext(ctx, bin, args...)
-	stdout, err := cmd.StdoutPipe()
+	m, err := harness.Scrape(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start %v: %v", args, err)
-	}
-	p := &proc{cmd: cmd, lines: make(chan string, 4096)}
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			p.mu.Lock()
-			p.log = append(p.log, line)
-			p.mu.Unlock()
-			select {
-			case p.lines <- line:
-			default:
-			}
-		}
-		close(p.lines)
-	}()
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-	return p
-}
-
-// expect waits for a stdout line containing substr and returns it.
-func (p *proc) expect(t *testing.T, substr string, timeout time.Duration) string {
-	t.Helper()
-	deadline := time.After(timeout)
-	for {
-		select {
-		case line, ok := <-p.lines:
-			if !ok {
-				t.Fatalf("process exited before printing %q; log:\n%s", substr, p.dump())
-			}
-			if strings.Contains(line, substr) {
-				return line
-			}
-		case <-deadline:
-			t.Fatalf("timed out waiting for %q; log:\n%s", substr, p.dump())
-		}
-	}
-}
-
-func (p *proc) dump() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return strings.Join(p.log, "\n")
-}
-
-// countLines returns how many logged lines contain substr.
-func (p *proc) countLines(substr string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, line := range p.log {
-		if strings.Contains(line, substr) {
-			n++
-		}
-	}
-	return n
-}
-
-// buildNode compiles the vitis-node binary into a temp dir once per test.
-func buildNode(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "vitis-node")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// scrapeMetrics GETs the node's /metrics endpoint and parses every sample
-// into a name → value map; a malformed exposition fails the test.
-func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
-	t.Helper()
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatalf("scrape /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics returned %d:\n%s", resp.StatusCode, body)
-	}
-	out, err := telemetry.ParseText(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return m
 }
 
 // TestRealProcessCluster is the end-to-end acceptance test of the wire
@@ -145,34 +37,30 @@ func TestRealProcessCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-process test in -short mode")
 	}
-	bin := buildNode(t)
+	bin := harness.BuildT(t, t.TempDir())
 	traceFile := filepath.Join(t.TempDir(), "pub.jsonl")
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
 
-	bs := startProc(t, ctx, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0", "-seed", "1", "-period-ms", "100")
-	line := bs.expect(t, "listening on", 10*time.Second)
-	bsAddr := line[strings.LastIndex(line, " ")+1:]
+	bs := harness.StartT(t, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0", "-seed", "1", "-period-ms", "100")
+	bsAddr := harness.LastField(bs.MustExpect(t, "listening on", 10*time.Second))
 
 	common := []string{"-listen", "127.0.0.1:0", "-bootstrap", bsAddr,
 		"-subscribe", "news", "-period-ms", "100"}
-	publisher := startProc(t, ctx, bin, append([]string{"-seed", "2", "-publish-rate", "5", "-trace", traceFile}, common...)...)
-	subA := startProc(t, ctx, bin, append([]string{"-seed", "3", "-metrics-addr", "127.0.0.1:0"}, common...)...)
-	subB := startProc(t, ctx, bin, append([]string{"-seed", "4"}, common...)...)
+	publisher := harness.StartT(t, bin, append([]string{"-seed", "2", "-publish-rate", "5", "-trace", traceFile}, common...)...)
+	subA := harness.StartT(t, bin, append([]string{"-seed", "3", "-metrics-addr", "127.0.0.1:0"}, common...)...)
+	subB := harness.StartT(t, bin, append([]string{"-seed", "4"}, common...)...)
 
 	// The publisher's own id appears in its startup line; subscribers must
 	// deliver events stamped with it.
-	pubLine := publisher.expect(t, "id=", 10*time.Second)
+	pubLine := publisher.MustExpect(t, "id=", 10*time.Second)
 	pubID := strings.TrimPrefix(strings.Fields(pubLine)[0], "id=")
-	mLine := subA.expect(t, "metrics listening on", 10*time.Second)
-	metricsAddr := mLine[strings.LastIndex(mLine, " ")+1:]
+	metricsAddr := harness.LastField(subA.MustExpect(t, "metrics listening on", 10*time.Second))
 
-	for _, p := range []*proc{publisher, subA, subB} {
-		p.expect(t, "joined with", 30*time.Second)
+	for _, p := range []*harness.Proc{publisher, subA, subB} {
+		p.MustExpect(t, "joined with", 30*time.Second)
 	}
 	wantEvent := fmt.Sprintf("event=%s", pubID)
-	for i, p := range []*proc{publisher, subA, subB} {
-		line := p.expect(t, "DELIVER", 45*time.Second)
+	for i, p := range []*harness.Proc{publisher, subA, subB} {
+		line := p.MustExpect(t, "DELIVER", 45*time.Second)
 		if !strings.Contains(line, wantEvent) {
 			t.Errorf("node %d delivered %q, want an event from publisher %s", i, line, pubID)
 		}
@@ -190,8 +78,8 @@ func TestRealProcessCluster(t *testing.T) {
 
 	// The exported counters must be consistent with the node's own DELIVER
 	// lines: count first, then scrape — counters only grow.
-	delivered := subA.countLines("DELIVER")
-	m := scrapeMetrics(t, metricsAddr)
+	delivered := subA.Count("DELIVER")
+	m := scrape(t, metricsAddr)
 	if got := m["vitis_core_deliveries_total"]; got < float64(delivered) {
 		t.Errorf("vitis_core_deliveries_total = %v, want >= %d DELIVER lines", got, delivered)
 	}
@@ -207,10 +95,10 @@ func TestRealProcessCluster(t *testing.T) {
 
 	// SIGTERM the publisher: it must flush its span file on the way out, and
 	// the file must parse back into a trace containing its published events.
-	if err := publisher.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	if err := publisher.Stop(); err != nil {
+		t.Fatalf("publisher: %v; log:\n%s", err, publisher.Log())
 	}
-	publisher.expect(t, "trace spans=", 10*time.Second)
+	publisher.MustExpect(t, "trace spans=", time.Second)
 	f, err := os.Open(traceFile)
 	if err != nil {
 		t.Fatal(err)
@@ -244,37 +132,33 @@ func TestStoreBackedCatchUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-process test in -short mode")
 	}
-	bin := buildNode(t)
+	bin := harness.BuildT(t, t.TempDir())
 	storeDir := filepath.Join(t.TempDir(), "events")
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
 
-	bs := startProc(t, ctx, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0", "-seed", "1", "-period-ms", "100")
-	line := bs.expect(t, "listening on", 10*time.Second)
-	bsAddr := line[strings.LastIndex(line, " ")+1:]
+	bs := harness.StartT(t, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0", "-seed", "1", "-period-ms", "100")
+	bsAddr := harness.LastField(bs.MustExpect(t, "listening on", 10*time.Second))
 
-	pub := startProc(t, ctx, bin, "-listen", "127.0.0.1:0", "-bootstrap", bsAddr,
+	pub := harness.StartT(t, bin, "-listen", "127.0.0.1:0", "-bootstrap", bsAddr,
 		"-seed", "2", "-period-ms", "100", "-subscribe", "news",
 		"-store", storeDir, "-metrics-addr", "127.0.0.1:0",
 		"-publish-rate", "10", "-publish-for", "1s")
-	pubLine := pub.expect(t, "id=", 10*time.Second)
+	pubLine := pub.MustExpect(t, "id=", 10*time.Second)
 	pubID := strings.TrimPrefix(strings.Fields(pubLine)[0], "id=")
-	pub.expect(t, "store open dir=", 10*time.Second)
-	mLine := pub.expect(t, "metrics listening on", 10*time.Second)
-	metricsAddr := mLine[strings.LastIndex(mLine, " ")+1:]
-	pub.expect(t, "joined with", 30*time.Second)
-	pub.expect(t, "DELIVER", 30*time.Second)
+	pub.MustExpect(t, "store open dir=", 10*time.Second)
+	metricsAddr := harness.LastField(pub.MustExpect(t, "metrics listening on", 10*time.Second))
+	pub.MustExpect(t, "joined with", 30*time.Second)
+	pub.MustExpect(t, "DELIVER", 30*time.Second)
 
 	// Let the publish window close, so the late subscriber cannot receive
 	// anything through live dissemination.
 	time.Sleep(1500 * time.Millisecond)
-	published := pub.countLines("DELIVER")
+	published := pub.Count("DELIVER")
 	if published == 0 {
 		t.Fatal("publisher delivered nothing in its window")
 	}
 
 	// The store must have persisted the burst; /healthz reports it.
-	m := scrapeMetrics(t, metricsAddr)
+	m := scrape(t, metricsAddr)
 	if got := m["vitis_store_appends_total"]; got < float64(published) {
 		t.Errorf("vitis_store_appends_total = %v, want >= %d", got, published)
 	}
@@ -289,29 +173,19 @@ func TestStoreBackedCatchUp(t *testing.T) {
 	}
 
 	// A subscriber born after the burst backfills the history via catch-up.
-	late := startProc(t, ctx, bin, "-listen", "127.0.0.1:0", "-bootstrap", bsAddr,
+	late := harness.StartT(t, bin, "-listen", "127.0.0.1:0", "-bootstrap", bsAddr,
 		"-seed", "5", "-period-ms", "100", "-subscribe", "news")
-	late.expect(t, "joined with", 30*time.Second)
-	caught := late.expect(t, "DELIVER", 30*time.Second)
+	late.MustExpect(t, "joined with", 30*time.Second)
+	caught := late.MustExpect(t, "DELIVER", 30*time.Second)
 	if !strings.Contains(caught, "event="+pubID) {
 		t.Errorf("late subscriber delivered %q, want an event from %s", caught, pubID)
 	}
 
 	// SIGTERM flushes and closes the store on the way out.
-	if err := pub.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	if err := pub.Stop(); err != nil {
+		t.Errorf("publisher: %v, want a clean exit; log:\n%s", err, pub.Log())
 	}
-	pub.expect(t, "store closed records=", 10*time.Second)
-	done := make(chan error, 1)
-	go func() { done <- pub.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("publisher exited with %v, want clean exit; log:\n%s", err, pub.dump())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("publisher did not exit after SIGTERM; log:\n%s", pub.dump())
-	}
+	pub.MustExpect(t, "store closed records=", time.Second)
 	// The directory holds at least one real segment.
 	segs, err := filepath.Glob(filepath.Join(storeDir, "events-*.seg"))
 	if err != nil || len(segs) == 0 {
@@ -327,39 +201,27 @@ func TestGracefulShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-process test in -short mode")
 	}
-	bin := buildNode(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	bin := harness.BuildT(t, t.TempDir())
 
-	p := startProc(t, ctx, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0",
+	p := harness.StartT(t, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0",
 		"-seed", "1", "-period-ms", "100", "-metrics-addr", "127.0.0.1:0")
-	mLine := p.expect(t, "metrics listening on", 10*time.Second)
-	metricsAddr := mLine[strings.LastIndex(mLine, " ")+1:]
+	metricsAddr := harness.LastField(p.MustExpect(t, "metrics listening on", 10*time.Second))
 
 	// The endpoint serves before and, crucially, is gone after shutdown.
-	scrapeMetrics(t, metricsAddr)
+	scrape(t, metricsAddr)
 
-	if err := p.cmd.Process.Signal(syscall.SIGUSR1); err != nil {
+	if err := p.Signal(syscall.SIGUSR1); err != nil {
 		t.Fatal(err)
 	}
-	p.expect(t, "METRIC vitis_engine_events_total", 10*time.Second)
+	p.MustExpect(t, "METRIC vitis_engine_events_total", 10*time.Second)
 
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	// Stop allows the grace period and reports anything but a clean exit.
+	if err := p.Stop(); err != nil {
+		t.Errorf("%v, want a clean exit within the grace period; log:\n%s", err, p.Log())
 	}
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("process exited with %v, want clean exit; log:\n%s", err, p.dump())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("process did not exit within grace period after SIGTERM; log:\n%s", p.dump())
-	}
-	// The final dump ran on the way out.
-	if p.countLines("METRIC vitis_host_sent_total") == 0 {
-		t.Errorf("no final metrics dump after SIGTERM; log:\n%s", p.dump())
+	// The final dump ran on the way out, after the SIGUSR1 one.
+	if n := p.Count("METRIC vitis_host_sent_total"); n != 2 {
+		t.Errorf("%d metrics dumps, want one on SIGUSR1 and a final one on SIGTERM; log:\n%s", n, p.Log())
 	}
 	if _, err := http.Get("http://" + metricsAddr + "/metrics"); err == nil {
 		t.Error("metrics endpoint still serving after shutdown")

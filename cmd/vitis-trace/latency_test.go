@@ -1,110 +1,19 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
+	"vitis/internal/harness"
 	"vitis/internal/telemetry"
 )
-
-// tproc is one child process with line-scanned stdout, just enough to drive
-// the cross-check cluster below.
-type tproc struct {
-	cmd   *exec.Cmd
-	lines chan string
-}
-
-func startTProc(t *testing.T, bin string, args ...string) *tproc {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start %s: %v", bin, err)
-	}
-	p := &tproc{cmd: cmd, lines: make(chan string, 4096)}
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			select {
-			case p.lines <- sc.Text():
-			default:
-			}
-		}
-		close(p.lines)
-	}()
-	t.Cleanup(p.stop)
-	return p
-}
-
-func (p *tproc) expect(t *testing.T, substr string, timeout time.Duration) string {
-	t.Helper()
-	deadline := time.After(timeout)
-	for {
-		select {
-		case line, ok := <-p.lines:
-			if !ok {
-				t.Fatalf("process exited before printing %q", substr)
-			}
-			if strings.Contains(line, substr) {
-				return line
-			}
-		case <-deadline:
-			t.Fatalf("timed out waiting for %q", substr)
-		}
-	}
-}
-
-// stop SIGTERMs the process (flushing its trace file) and waits for exit.
-func (p *tproc) stop() {
-	if p.cmd.Process == nil {
-		return
-	}
-	p.cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() { p.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		p.cmd.Process.Kill()
-		<-done
-	}
-}
-
-// scrapeLatency fetches one node's /metrics and returns the delivery-latency
-// histogram samples (bucket series, _sum, _count).
-func scrapeLatency(addr string) (map[string]float64, error) {
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	all, err := telemetry.ParseText(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for name, v := range all {
-		if strings.HasPrefix(name, "vitis_core_delivery_latency_seconds") {
-			out[name] = v
-		}
-	}
-	return out, nil
-}
 
 // boundsBetween counts how many live-histogram bucket boundaries lie
 // strictly between a and b — the agreement metric for the cross-check.
@@ -129,17 +38,13 @@ func TestSpansLatencyMatchesLiveHistogram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process cluster in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "vitis-node")
-	if out, err := exec.Command("go", "build", "-o", bin, "vitis/cmd/vitis-node").CombinedOutput(); err != nil {
-		t.Fatalf("building vitis-node: %v\n%s", err, out)
-	}
+	bin := harness.BuildT(t, t.TempDir())
 	traceDir := t.TempDir()
 
-	bs := startTProc(t, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0", "-seed", "1", "-period-ms", "200")
-	line := bs.expect(t, "listening on", 15*time.Second)
-	bsAddr := line[strings.LastIndex(line, " ")+1:]
+	bs := harness.StartT(t, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0", "-seed", "1", "-period-ms", "200")
+	bsAddr := harness.LastField(bs.MustExpect(t, "listening on", 15*time.Second))
 
-	var nodes []*tproc
+	var nodes []*harness.Proc
 	var metricsAddrs []string
 	var traceFiles []string
 	for i := 0; i < 3; i++ {
@@ -154,43 +59,37 @@ func TestSpansLatencyMatchesLiveHistogram(t *testing.T) {
 		if i == 0 {
 			args = append(args, "-publish", "news=5", "-publish-delay", "2s", "-publish-for", "5s")
 		}
-		p := startTProc(t, bin, args...)
-		line := p.expect(t, "metrics listening on", 30*time.Second)
-		metricsAddrs = append(metricsAddrs, line[strings.LastIndex(line, " ")+1:])
+		p := harness.StartT(t, bin, args...)
+		metricsAddrs = append(metricsAddrs, harness.LastField(p.MustExpect(t, "metrics listening on", 30*time.Second)))
 		nodes = append(nodes, p)
 	}
 	for _, p := range nodes {
-		p.expect(t, "joined with", 60*time.Second)
+		p.MustExpect(t, "joined with", 60*time.Second)
 	}
 
 	// Wait out the publish window, then poll until the live histogram count
-	// is stable (everything in flight delivered).
+	// is stable (everything in flight delivered). agg sums the histogram
+	// samples (bucket series, _sum, _count) over the nodes.
 	time.Sleep(8 * time.Second)
-	agg := make(map[string]float64)
-	lastCount, stableSince := -1.0, time.Now()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		cur := make(map[string]float64)
+	var agg map[string]float64
+	err := harness.Settle(60*time.Second, 2*time.Second, 500*time.Millisecond, func() (float64, bool, error) {
+		agg = make(map[string]float64)
 		for _, addr := range metricsAddrs {
-			m, err := scrapeLatency(addr)
+			m, err := harness.Scrape(addr)
 			if err != nil {
-				t.Fatalf("scrape %s: %v", addr, err)
+				return 0, false, err
 			}
-			for k, v := range m {
-				cur[k] += v
+			for name, v := range m {
+				if strings.HasPrefix(name, "vitis_core_delivery_latency_seconds") {
+					agg[name] += v
+				}
 			}
 		}
-		count := cur["vitis_core_delivery_latency_seconds_count"]
-		if count != lastCount {
-			lastCount, stableSince = count, time.Now()
-		} else if count > 0 && time.Since(stableSince) >= 2*time.Second {
-			agg = cur
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delivery count never stabilised (count=%v)", count)
-		}
-		time.Sleep(500 * time.Millisecond)
+		count := agg["vitis_core_delivery_latency_seconds_count"]
+		return count, count > 0, nil
+	})
+	if err != nil {
+		t.Fatalf("delivery count never stabilised: %v", err)
 	}
 
 	col := telemetry.NewCollector(4)
@@ -203,7 +102,7 @@ func TestSpansLatencyMatchesLiveHistogram(t *testing.T) {
 
 	// Stop the nodes so their tracers flush, then reconstruct offline.
 	for _, p := range nodes {
-		p.stop()
+		p.Stop()
 	}
 	var merged bytes.Buffer
 	for _, tf := range traceFiles {
