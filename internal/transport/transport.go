@@ -9,8 +9,12 @@
 //   - Transport moves messages between processes (or fakes doing so). Three
 //     implementations exist: Sim (the existing simulator network behind the
 //     same interface), Loopback (in-process, but every message round-trips
-//     through the wire codec), and UDP (real sockets, bounded per-peer
-//     batch buffers, one writer per socket).
+//     through the wire codec), and UDP (a real socket). UDP is a thin
+//     shell — the socket, a read loop, one timer goroutine and one mutex —
+//     around udpCore, which holds the address book, stash, bounded
+//     per-peer batch buffers, hint ledgers, envelopes and reaper. The core
+//     has no socket, goroutine, lock or clock: every call takes now and
+//     returns what to write, so its tests run on a virtual clock.
 //   - Host implements simnet.Net on top of a Transport, so core.Node,
 //     sampling, tman and bootstrap run unchanged.
 //   - Driver executes a Host's discrete-event engine against the wall
