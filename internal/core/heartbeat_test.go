@@ -73,7 +73,7 @@ func TestProfileMsgUpdatesKnowledge(t *testing.T) {
 	if !ok || !got.Subscribed(tp) {
 		t.Error("profile not stored")
 	}
-	if !n.isClusterNeighbor(300) {
+	if !slices.Contains(n.clusterNeighborsInto(nil), 300) {
 		t.Error("profile sender not a reverse neighbor")
 	}
 }
@@ -84,12 +84,12 @@ func TestReverseNeighborExpires(t *testing.T) {
 	n := NewNode(net, 100, Params{}, Hooks{})
 	n.Join(nil)
 	n.handleProfile(300, ProfileMsg{Profile: &Profile{ID: 300}, Reply: true})
-	if !n.isClusterNeighbor(300) {
+	if !slices.Contains(n.clusterNeighborsInto(nil), 300) {
 		t.Fatal("reverse neighbor missing")
 	}
 	// ring.StaleAge * HeartbeatPeriod = 5s lease; heartbeats prune it.
 	eng.RunUntil(10 * simnet.Second)
-	if n.isClusterNeighbor(300) {
+	if slices.Contains(n.clusterNeighborsInto(nil), 300) {
 		t.Error("reverse neighbor survived expiry")
 	}
 	if _, still := n.KnownProfile(300); still {
@@ -129,12 +129,13 @@ func TestBuildProfileSnapshotsProposals(t *testing.T) {
 	if !p.Subscribed(tp) {
 		t.Error("profile missing subscription")
 	}
-	if prop, ok := p.Proposal(tp); !ok || prop.GW != 100 {
-		t.Error("profile missing proposal")
+	want := []TopicProposal{{Topic: tp, Proposal: Proposal{GW: 100, Parent: 100, Hops: 0}}}
+	if !slices.Equal(p.Proposals, want) {
+		t.Errorf("profile proposals = %+v, want %+v", p.Proposals, want)
 	}
 	// Mutating node state afterwards must not affect the snapshot.
 	n.proposals[tp] = Proposal{GW: 999, Parent: 999, Hops: 1}
-	if prop, _ := p.Proposal(tp); prop.GW != 100 {
+	if !slices.Equal(p.Proposals, want) {
 		t.Error("profile proposals aliased to node state")
 	}
 }

@@ -64,6 +64,7 @@ type Node struct {
 	fwdNbrs    []NodeID
 	fwdTargets []NodeID
 	propNbrs   []NodeID
+	propBest   []Proposal
 
 	// Physical-topology extension of the preference function (§III-A2).
 	proximity       func(peer NodeID) float64
@@ -576,40 +577,64 @@ func (n *Node) subsView() ([]TopicID, float64) {
 // gateway proposal among interested neighbors, subject to loop avoidance and
 // the hop threshold d; a node recognising itself as gateway initiates the
 // relay path.
+//
+// The first pass walks the sorted neighbors once and merges each one's
+// proposals against the sorted subscriptions, so every topic sees its
+// neighbors in ascending order. A profile proposes only for topics it
+// subscribes to, so "interested and proposing" is "in Proposals". The
+// second pass does the side effects in ascending topic order: relay
+// lookups send messages, and deterministic send order keeps whole runs
+// reproducible.
 func (n *Node) updateProposals() {
 	n.propNbrs = n.clusterNeighborsInto(n.propNbrs)
 	neighbors := n.propNbrs
-	// Iterate topics in sorted order: relay lookups send messages, and
-	// deterministic send order keeps whole runs reproducible.
-	for _, t := range n.sortedSubs() {
-		prop := Proposal{GW: n.id, Parent: n.id, Hops: 0}
-		for _, nb := range neighbors {
-			p := n.profiles[nb]
-			if p == nil || !p.Subscribed(t) {
-				continue
+	subs := n.sortedSubs()
+	best := n.propBest[:0]
+	for range subs {
+		best = append(best, Proposal{GW: n.id, Parent: n.id})
+	}
+	n.propBest = best
+	for _, nb := range neighbors {
+		p := n.profiles[nb]
+		if p == nil {
+			continue
+		}
+		i := 0
+		for _, tp := range p.Proposals {
+			for i < len(subs) && subs[i] < tp.Topic {
+				i++
 			}
-			next, ok := p.Proposal(t)
-			if !ok {
+			if i == len(subs) {
+				break
+			}
+			if subs[i] != tp.Topic {
 				continue
 			}
 			// Loop avoidance: accept only proposals the neighbor
 			// originated itself or whose parent we cannot reach —
 			// and never proposals derived from us.
+			next := tp.Proposal
 			if next.Parent == n.id {
 				continue
 			}
-			if nb != next.Parent && n.isClusterNeighbor(next.Parent) {
-				continue
+			if next.Parent != nb {
+				if _, reach := slices.BinarySearch(neighbors, next.Parent); reach {
+					continue
+				}
 			}
-			curDis := idspace.Distance(prop.GW, t)
-			newDis := idspace.Distance(next.GW, t)
+			prop := &best[i]
+			curDis := idspace.Distance(prop.GW, tp.Topic)
+			newDis := idspace.Distance(next.GW, tp.Topic)
 			if newDis < curDis && next.Hops+1 < n.params.GatewayHops {
-				prop = Proposal{GW: next.GW, Parent: nb, Hops: next.Hops + 1}
+				*prop = Proposal{GW: next.GW, Parent: nb, Hops: next.Hops + 1}
 			}
 			if next.GW == prop.GW && next.Hops+1 < prop.Hops {
-				prop = Proposal{GW: next.GW, Parent: nb, Hops: next.Hops + 1}
+				*prop = Proposal{GW: next.GW, Parent: nb, Hops: next.Hops + 1}
 			}
 		}
+	}
+	for i, t := range subs {
+		prop := best[i]
 		old, had := n.proposals[t]
 		if !had || old.GW != prop.GW {
 			n.tel.GatewayChanges.Inc()
@@ -646,14 +671,6 @@ func (n *Node) clusterNeighborsInto(dst []NodeID) []NodeID {
 	}
 	slices.Sort(dst)
 	return slices.Compact(dst)
-}
-
-func (n *Node) isClusterNeighbor(id NodeID) bool {
-	if n.xchg.Contains(id) {
-		return true
-	}
-	exp, ok := n.reverse[id]
-	return ok && exp > n.eng.Now()
 }
 
 // expireState clears reverse-neighbor entries and dead relay state.

@@ -289,36 +289,3 @@ func TestHeartbeatAllocBound(t *testing.T) {
 		t.Error("heartbeat rebuilt an unchanged profile snapshot")
 	}
 }
-
-// TestProfileProposalMatchesMap checks the sorted-slice lookup against a
-// map over random profiles.
-func TestProfileProposalMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 500; trial++ {
-		ref := make(map[TopicID]Proposal)
-		p := &Profile{ID: 1}
-		for i, n := 0, rng.Intn(12); i < n; i++ {
-			tp := TopicID(rng.Intn(40))
-			if _, dup := ref[tp]; dup {
-				continue
-			}
-			ref[tp] = Proposal{GW: NodeID(rng.Uint64()), Parent: NodeID(rng.Uint64()), Hops: rng.Intn(5)}
-			p.Subs = append(p.Subs, tp)
-		}
-		slices.Sort(p.Subs)
-		for _, tp := range p.Subs {
-			if rng.Intn(3) > 0 {
-				p.Proposals = append(p.Proposals, TopicProposal{Topic: tp, Proposal: ref[tp]})
-			} else {
-				delete(ref, tp)
-			}
-		}
-		for tp := TopicID(0); tp < 42; tp++ {
-			got, ok := p.Proposal(tp)
-			want, wantOK := ref[tp]
-			if ok != wantOK || got != want {
-				t.Fatalf("trial %d: Proposal(%d) = %+v,%v; map says %+v,%v", trial, tp, got, ok, want, wantOK)
-			}
-		}
-	}
-}

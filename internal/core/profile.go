@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"vitis/internal/ring"
@@ -48,17 +47,6 @@ type Profile struct {
 func (p *Profile) Subscribed(t TopicID) bool {
 	_, ok := slices.BinarySearch(p.Subs, t)
 	return ok
-}
-
-// Proposal returns the owner's gateway proposal for t.
-func (p *Profile) Proposal(t TopicID) (Proposal, bool) {
-	i, ok := slices.BinarySearchFunc(p.Proposals, t, func(e TopicProposal, t TopicID) int {
-		return cmp.Compare(e.Topic, t)
-	})
-	if !ok {
-		return Proposal{}, false
-	}
-	return p.Proposals[i].Proposal, true
 }
 
 // Equal reports whether two profiles carry the same content.

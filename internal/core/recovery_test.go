@@ -193,7 +193,7 @@ func TestEvictionRepairsRelayPath(t *testing.T) {
 	if p, ok := rs.Parent(0); ok && p == 200 {
 		t.Error("stale relay parent kept after eviction")
 	}
-	if slices.Contains(rs.Children(0), 200) {
+	if slices.Contains(rs.AppendLinks(nil, 0), 200) {
 		t.Error("dead node still holds a child lease")
 	}
 	if m.RelaysRepaired.Value() != 1 {

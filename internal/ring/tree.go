@@ -1,7 +1,7 @@
 package ring
 
 import (
-	"math"
+	"cmp"
 	"slices"
 
 	"vitis/internal/idspace"
@@ -30,15 +30,13 @@ type Tree struct {
 	parent      NodeID
 	parentUntil simnet.Time
 	rendezUntil simnet.Time
-	children    map[NodeID]simnet.Time // child -> lease expiry
+	children    []childLease // ascending by id
+}
 
-	// childCache memoizes Children between mutations: dissemination asks
-	// for the child list once per notification, but the set only changes
-	// when a lease is granted or dropped (childCacheValid) or when the
-	// earliest cached lease expires (childCacheUntil).
-	childCache      []NodeID
-	childCacheValid bool
-	childCacheUntil simnet.Time
+// childLease is one child and the expiry of its lease.
+type childLease struct {
+	id    NodeID
+	until simnet.Time
 }
 
 // LeaseParent makes id the parent until the given time.
@@ -53,11 +51,19 @@ func (t *Tree) LeaseRendezvous(until simnet.Time) { t.rendezUntil = until }
 
 // LeaseChild registers id as a child until the given time.
 func (t *Tree) LeaseChild(id NodeID, until simnet.Time) {
-	if t.children == nil {
-		t.children = make(map[NodeID]simnet.Time)
+	i, ok := t.child(id)
+	if ok {
+		t.children[i].until = until
+		return
 	}
-	t.children[id] = until
-	t.childCacheValid = false
+	t.children = slices.Insert(t.children, i, childLease{id, until})
+}
+
+// child is the position of id among the children, or where it would go.
+func (t *Tree) child(id NodeID) (int, bool) {
+	return slices.BinarySearchFunc(t.children, id, func(c childLease, id NodeID) int {
+		return cmp.Compare(c.id, id)
+	})
 }
 
 // Advance is one step of the lookup toward target that refreshes the tree:
@@ -85,36 +91,18 @@ func (t *Tree) Parent(now simnet.Time) (NodeID, bool) {
 // IsRendezvous reports whether the rendezvous lease is live.
 func (t *Tree) IsRendezvous(now simnet.Time) bool { return t.rendezUntil > now }
 
-// Children returns the live children in ascending order. The slice is owned
-// by the tree (callers copy what they keep) and valid until the next
-// mutation or lease expiry.
-func (t *Tree) Children(now simnet.Time) []NodeID {
-	if t.childCacheValid && now < t.childCacheUntil {
-		return t.childCache
-	}
-	out := t.childCache[:0]
-	until := simnet.Time(math.MaxInt64)
-	for c, exp := range t.children {
-		if exp > now {
-			out = append(out, c)
-			if exp < until {
-				until = exp
-			}
-		}
-	}
-	slices.Sort(out)
-	t.childCache = out
-	t.childCacheValid = true
-	t.childCacheUntil = until
-	return out
-}
-
-// AppendLinks appends the live tree links — parent, then children — to dst.
+// AppendLinks appends the live tree links — parent, then children in
+// ascending order — to dst.
 func (t *Tree) AppendLinks(dst []NodeID, now simnet.Time) []NodeID {
 	if p, ok := t.Parent(now); ok {
 		dst = append(dst, p)
 	}
-	return append(dst, t.Children(now)...)
+	for _, c := range t.children {
+		if c.until > now {
+			dst = append(dst, c.id)
+		}
+	}
+	return dst
 }
 
 // Live reports whether the tree still carries any live lease.
@@ -122,8 +110,8 @@ func (t *Tree) Live(now simnet.Time) bool {
 	if _, ok := t.Parent(now); ok || t.IsRendezvous(now) {
 		return true
 	}
-	for _, exp := range t.children {
-		if exp > now {
+	for _, c := range t.children {
+		if c.until > now {
 			return true
 		}
 	}
@@ -138,9 +126,8 @@ func (t *Tree) DropPeer(id NodeID) (wasParent bool) {
 		t.hasParent = false
 		wasParent = true
 	}
-	if _, ok := t.children[id]; ok {
-		delete(t.children, id)
-		t.childCacheValid = false
+	if i, ok := t.child(id); ok {
+		t.children = slices.Delete(t.children, i, i+1)
 	}
 	return wasParent
 }
@@ -174,12 +161,7 @@ func (ts Trees) Rendezvous(topic idspace.ID, now simnet.Time) bool {
 // lease.
 func (ts Trees) Expire(now simnet.Time) {
 	for topic, t := range ts {
-		for c, exp := range t.children {
-			if exp <= now {
-				delete(t.children, c)
-				t.childCacheValid = false
-			}
-		}
+		t.children = slices.DeleteFunc(t.children, func(c childLease) bool { return c.until <= now })
 		if !t.Live(now) {
 			delete(ts, topic)
 		}

@@ -1,8 +1,12 @@
 package ring
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
+
+	"vitis/internal/idspace"
+	"vitis/internal/simnet"
 )
 
 // TestTreeAdvanceLeasesParentOrRendezvous: a lookup step leases the next
@@ -32,26 +36,26 @@ func TestTreeAdvanceLeasesParentOrRendezvous(t *testing.T) {
 	}
 }
 
-// TestTreeChildrenSortedCachedAndExpiring: live children come back sorted;
-// the cache follows new leases and the earliest expiry.
-func TestTreeChildrenSortedCachedAndExpiring(t *testing.T) {
+// TestTreeChildrenSortedAndExpiring: live children come back sorted, a new
+// lease shows at once and an expired one is left out.
+func TestTreeChildrenSortedAndExpiring(t *testing.T) {
 	var tr Tree
 	tr.LeaseChild(30, 100)
 	tr.LeaseChild(10, 20)
 	tr.LeaseChild(20, 100)
-	if got := tr.Children(0); !slices.Equal(got, []NodeID{10, 20, 30}) {
-		t.Fatalf("Children(0) = %v", got)
+	if got := tr.AppendLinks(nil, 0); !slices.Equal(got, []NodeID{10, 20, 30}) {
+		t.Fatalf("children at 0 = %v", got)
 	}
-	if got := tr.Children(20); !slices.Equal(got, []NodeID{20, 30}) {
-		t.Errorf("Children(20) = %v: the expired lease is still cached", got)
+	if got := tr.AppendLinks(nil, 20); !slices.Equal(got, []NodeID{20, 30}) {
+		t.Errorf("children at 20 = %v: the expired lease is still listed", got)
 	}
 	tr.LeaseChild(5, 100)
-	if got := tr.Children(20); !slices.Equal(got, []NodeID{5, 20, 30}) {
-		t.Errorf("Children after a new lease = %v: stale cache", got)
+	if got := tr.AppendLinks(nil, 20); !slices.Equal(got, []NodeID{5, 20, 30}) {
+		t.Errorf("children after a new lease = %v", got)
 	}
 	tr.LeaseParent(40, 100)
-	if got := tr.AppendLinks(nil, 20); !slices.Equal(got, []NodeID{40, 5, 20, 30}) {
-		t.Errorf("AppendLinks = %v, want parent then children", got)
+	if got := tr.AppendLinks([]NodeID{1}, 20); !slices.Equal(got, []NodeID{1, 40, 5, 20, 30}) {
+		t.Errorf("AppendLinks = %v, want dst, then parent, then children", got)
 	}
 }
 
@@ -60,15 +64,14 @@ func TestTreeDropPeer(t *testing.T) {
 	tr.LeaseParent(7, 100)
 	tr.LeaseChild(7, 100)
 	tr.LeaseChild(8, 100)
-	tr.Children(0) // fill the cache
 	if !tr.DropPeer(7) {
 		t.Error("dropping the parent was not reported")
 	}
 	if _, ok := tr.Parent(0); ok {
 		t.Error("dropped parent still live")
 	}
-	if got := tr.Children(0); !slices.Equal(got, []NodeID{8}) {
-		t.Errorf("children after drop = %v, want [8]", got)
+	if got := tr.AppendLinks(nil, 0); !slices.Equal(got, []NodeID{8}) {
+		t.Errorf("links after drop = %v, want [8]", got)
 	}
 	if tr.DropPeer(8) {
 		t.Error("dropping a child reported a parent")
@@ -98,5 +101,149 @@ func TestTreesExpire(t *testing.T) {
 	}
 	if ts.Live(3, 0) || ts.Rendezvous(3, 0) {
 		t.Error("absent topic reported live")
+	}
+}
+
+// refTree is the map-based model of Tree: every lease as a plain field or
+// map entry, queried by scanning.
+type refTree struct {
+	hasParent   bool
+	parent      NodeID
+	parentUntil simnet.Time
+	rendezUntil simnet.Time
+	children    map[NodeID]simnet.Time
+}
+
+func (r *refTree) links(now simnet.Time) []NodeID {
+	var out []NodeID
+	if r.hasParent && r.parentUntil > now {
+		out = append(out, r.parent)
+	}
+	var kids []NodeID
+	for c, exp := range r.children {
+		if exp > now {
+			kids = append(kids, c)
+		}
+	}
+	slices.Sort(kids)
+	return append(out, kids...)
+}
+
+func (r *refTree) live(now simnet.Time) bool {
+	if (r.hasParent && r.parentUntil > now) || r.rendezUntil > now {
+		return true
+	}
+	for _, exp := range r.children {
+		if exp > now {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTreesMatchMapModel drives random lease, drop and expiry sequences
+// through Trees and the map model; links and liveness must agree after
+// every step, and a tree is dropped exactly when the model has nothing live.
+func TestTreesMatchMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		ts := make(Trees)
+		ref := make(map[idspace.ID]*refTree)
+		model := func(topic idspace.ID) *refTree {
+			r, ok := ref[topic]
+			if !ok {
+				r = &refTree{children: make(map[NodeID]simnet.Time)}
+				ref[topic] = r
+			}
+			return r
+		}
+		now := simnet.Time(0)
+		for step := 0; step < 300; step++ {
+			topic := idspace.ID(rng.Intn(3))
+			id := NodeID(rng.Intn(12))
+			until := now + simnet.Time(rng.Intn(40))
+			switch op := rng.Intn(10); {
+			case op < 4:
+				ts.For(topic).LeaseChild(id, until)
+				model(topic).children[id] = until
+			case op < 5:
+				ts.For(topic).LeaseParent(id, until)
+				r := model(topic)
+				r.hasParent, r.parent, r.parentUntil = true, id, until
+			case op < 6:
+				ts.For(topic).LeaseRendezvous(until)
+				model(topic).rendezUntil = until
+			case op < 7:
+				var got, want bool
+				if tr, ok := ts[topic]; ok {
+					got = tr.DropPeer(id)
+				}
+				if r, ok := ref[topic]; ok {
+					if r.hasParent && r.parent == id {
+						r.hasParent, want = false, true
+					}
+					delete(r.children, id)
+				}
+				if got != want {
+					t.Fatalf("trial %d step %d: DropPeer(%d) = %v, model %v", trial, step, id, got, want)
+				}
+			case op < 9:
+				now += simnet.Time(rng.Intn(8))
+			default:
+				ts.Expire(now)
+				for tp, r := range ref {
+					for c, exp := range r.children {
+						if exp <= now {
+							delete(r.children, c)
+						}
+					}
+					if !r.live(now) {
+						delete(ref, tp)
+					}
+				}
+				if len(ts) != len(ref) {
+					t.Fatalf("trial %d step %d: %d trees after Expire, model %d", trial, step, len(ts), len(ref))
+				}
+				for tp, tr := range ts {
+					if len(tr.children) != len(ref[tp].children) {
+						t.Fatalf("trial %d step %d topic %d: %d child leases kept after Expire, model %d", trial, step, tp, len(tr.children), len(ref[tp].children))
+					}
+				}
+			}
+			for tp := idspace.ID(0); tp < 3; tp++ {
+				var got, want []NodeID
+				if tr, ok := ts[tp]; ok {
+					got = tr.AppendLinks(nil, now)
+				}
+				if r, ok := ref[tp]; ok {
+					want = r.links(now)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d step %d topic %d: links %v, model %v", trial, step, tp, got, want)
+				}
+				if got, want := ts.Live(tp, now), ref[tp] != nil && ref[tp].live(now); got != want {
+					t.Fatalf("trial %d step %d topic %d: Live %v, model %v", trial, step, tp, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTreeLeaseExpire is one soft-state round of a busy node: 64
+// topics, each refreshed by 8 of 24 children, then an expiry sweep.
+func BenchmarkTreeLeaseExpire(b *testing.B) {
+	ts := make(Trees)
+	var links []NodeID
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now := simnet.Time(i)
+		for topic := idspace.ID(0); topic < 64; topic++ {
+			tr := ts.For(topic)
+			for k := 0; k < 8; k++ {
+				tr.LeaseChild(NodeID((i*8+k+int(topic))%24), now+4)
+			}
+			links = tr.AppendLinks(links[:0], now)
+		}
+		ts.Expire(now)
 	}
 }

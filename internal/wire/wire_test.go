@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,8 +112,8 @@ func TestDecodePreservesContent(t *testing.T) {
 	if got.Profile.ID != 3 || len(got.Profile.Subs) != 2 || got.Profile.Subs[1] != 9 {
 		t.Errorf("profile fields lost: %+v", got.Profile)
 	}
-	if p, _ := got.Profile.Proposal(5); p.GW != 11 || p.Parent != 3 || p.Hops != 1 {
-		t.Errorf("proposal lost: %+v", p)
+	if !slices.Equal(got.Profile.Proposals, prof.Proposals) {
+		t.Errorf("proposals lost: %+v", got.Profile.Proposals)
 	}
 
 	frame, err = Encode(1, 2, core.PullResp{
