@@ -1,13 +1,15 @@
 // Command vitis-node runs one Vitis peer as a real process: the same
 // protocol stack the simulator exercises (internal/core over sampling,
 // tman and bootstrap), but driven against the wall clock and talking UDP
-// through the internal/wire codec.
+// through the internal/wire codec. The node itself — join, announces,
+// isolation and rejoin — is internal/deploy's; this command adds the flags,
+// the socket, the store, signals and HTTP.
 //
 // A tiny cluster on the loopback interface:
 //
 //	vitis-node -role bootstrap -listen 127.0.0.1:7000 -seed 1 &
 //	vitis-node -listen 127.0.0.1:0 -bootstrap 127.0.0.1:7000 -seed 2 \
-//	    -subscribe news -publish-rate 1 -metrics-addr 127.0.0.1:9100 &
+//	    -publish news=1 -metrics-addr 127.0.0.1:9100 &
 //	vitis-node -listen 127.0.0.1:0 -bootstrap 127.0.0.1:7000 -seed 3 \
 //	    -subscribe news &
 //
@@ -41,14 +43,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"math/rand"
-
-	"vitis/internal/bootstrap"
 	"vitis/internal/core"
+	"vitis/internal/deploy"
 	"vitis/internal/idspace"
 	"vitis/internal/simnet"
 	"vitis/internal/store"
@@ -58,71 +57,47 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:0", "UDP address to bind")
-	role := flag.String("role", "node", "node or bootstrap")
-	bootAddr := flag.String("bootstrap", "", "bootstrap server address (role=node)")
-	subscribe := flag.String("subscribe", "", "comma-separated topic names to subscribe")
-	pubRate := flag.Float64("publish-rate", 0, "events per second published to each subscribed topic")
-	publish := flag.String("publish", "", "comma-separated topic=rate pairs to publish (auto-subscribes), e.g. 'news=0.5,sport=2'")
-	publishFor := flag.Duration("publish-for", 0, "stop publishing this long after the window opens (0 = never stop)")
-	publishDelay := flag.Duration("publish-delay", 0, "open the publish window this long after joining, letting the overlay converge")
-	quiet := flag.Bool("quiet", false, "suppress per-event DELIVER lines (metrics still count them)")
-	seed := flag.Int64("seed", 0, "identity and RNG seed (0 = derived from pid and time)")
-	periodMs := flag.Int64("period-ms", 1000, "gossip and heartbeat period in milliseconds")
-	want := flag.Int("want", 8, "peers requested from the bootstrap server")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP address for /metrics, /healthz and /debug/pprof (empty = off)")
-	tracePath := flag.String("trace", "", "append hop-level JSONL spans to this file (empty = off)")
-	chaosSpec := flag.String("chaos", os.Getenv("VITIS_CHAOS"),
+	var cfg config
+	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:0", "UDP address to bind")
+	flag.StringVar(&cfg.role, "role", "node", "node or bootstrap")
+	flag.StringVar(&cfg.bootAddr, "bootstrap", "", "bootstrap server address (role=node)")
+	flag.StringVar(&cfg.subscribe, "subscribe", "", "comma-separated topic names to subscribe")
+	flag.StringVar(&cfg.publish, "publish", "", "comma-separated topic=rate pairs to publish (auto-subscribes), e.g. 'news=0.5,sport=2'")
+	flag.DurationVar(&cfg.publishFor, "publish-for", 0, "stop publishing this long after the window opens (0 = never stop)")
+	flag.DurationVar(&cfg.publishDelay, "publish-delay", 0, "open the publish window this long after joining, letting the overlay converge")
+	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress per-event DELIVER lines (metrics still count them)")
+	flag.Int64Var(&cfg.seed, "seed", 0, "identity and RNG seed (0 = derived from pid and time)")
+	flag.Int64Var(&cfg.periodMs, "period-ms", 1000, "gossip and heartbeat period in milliseconds")
+	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "HTTP address for /metrics, /healthz and /debug/pprof (empty = off)")
+	flag.StringVar(&cfg.tracePath, "trace", "", "append hop-level JSONL spans to this file (empty = off)")
+	flag.StringVar(&cfg.chaosSpec, "chaos", os.Getenv("VITIS_CHAOS"),
 		"fault-injection scenario, e.g. 'drop=0.2,delay=5ms-30ms;island@5s+10s' (default $VITIS_CHAOS)")
-	storeDir := flag.String("store", "", "directory for the durable event store (empty = off)")
-	storeRetainBytes := flag.Int64("store-retain-bytes", 0, "drop oldest store segments past this total size (0 = unbounded)")
-	storeRetainAge := flag.Duration("store-retain-age", 0, "drop store segments whose newest record is older than this (0 = unbounded)")
-	storeSegmentBytes := flag.Int("store-segment-bytes", 0, "store segment rotation size in bytes (0 = 4 MiB)")
-	storeFsyncEvery := flag.Int("store-fsync-every", 0, "fsync the store after this many appends (0 = 64)")
+	flag.StringVar(&cfg.storeDir, "store", "", "directory for the durable event store (empty = off)")
+	flag.Int64Var(&cfg.storeCfg.RetainBytes, "store-retain-bytes", 0, "drop oldest store segments past this total size (0 = unbounded)")
+	flag.DurationVar(&cfg.storeCfg.RetainAge, "store-retain-age", 0, "drop store segments whose newest record is older than this (0 = unbounded)")
+	flag.IntVar(&cfg.storeCfg.SegmentBytes, "store-segment-bytes", 0, "store segment rotation size in bytes (0 = 4 MiB)")
+	flag.IntVar(&cfg.storeCfg.FsyncEvery, "store-fsync-every", 0, "fsync the store after this many appends (0 = 64)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "vitis-node: unexpected argument %q\n", flag.Arg(0))
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *seed == 0 {
-		*seed = int64(os.Getpid()) ^ time.Now().UnixNano()
+	if cfg.seed == 0 {
+		cfg.seed = int64(os.Getpid()) ^ time.Now().UnixNano()
 	}
-	if *periodMs <= 0 {
+	if cfg.periodMs <= 0 {
 		fatalf("-period-ms must be positive")
 	}
-	if err := run(config{
-		listen:       *listen,
-		role:         *role,
-		bootAddr:     *bootAddr,
-		subscribe:    *subscribe,
-		pubRate:      *pubRate,
-		publish:      *publish,
-		publishFor:   *publishFor,
-		publishDelay: *publishDelay,
-		quiet:        *quiet,
-		seed:         *seed,
-		periodMs:     *periodMs,
-		want:         *want,
-		metricsAddr:  *metricsAddr,
-		tracePath:    *tracePath,
-		chaosSpec:    *chaosSpec,
-		storeDir:     *storeDir,
-		storeCfg: store.DiskConfig{
-			SegmentBytes: *storeSegmentBytes,
-			RetainBytes:  *storeRetainBytes,
-			RetainAge:    *storeRetainAge,
-			FsyncEvery:   *storeFsyncEvery,
-		},
-	}); err != nil {
+	if err := run(cfg); err != nil {
 		fatalf("%v", err)
 	}
 }
 
 // topicRate is one parsed -publish entry.
 type topicRate struct {
-	name string
-	rate float64
+	topic core.TopicID
+	rate  float64
 }
 
 // parsePublish parses the -publish spec: comma-separated topic=rate pairs,
@@ -141,7 +116,7 @@ func parsePublish(spec string) ([]topicRate, error) {
 		if err != nil || r <= 0 {
 			return nil, fmt.Errorf("-publish entry %q has invalid rate", part)
 		}
-		out = append(out, topicRate{name: strings.TrimSpace(name), rate: r})
+		out = append(out, topicRate{topic: core.Topic(strings.TrimSpace(name)), rate: r})
 	}
 	return out, nil
 }
@@ -153,12 +128,10 @@ func fatalf(format string, args ...any) {
 
 type config struct {
 	listen, role, bootAddr, subscribe string
-	pubRate                           float64
 	publish                           string
 	publishFor, publishDelay          time.Duration
 	quiet                             bool
 	seed, periodMs                    int64
-	want                              int
 	metricsAddr, tracePath            string
 	chaosSpec                         string
 	storeDir                          string
@@ -223,32 +196,15 @@ func run(cfg config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// joined flips once the overlay join completes; bootstrap servers are
-	// born ready. Atomic because /healthz reads it off the driver goroutine.
-	var joined atomic.Bool
-	reg.GaugeFunc("vitis_node_joined", "1 once the node has joined the overlay.",
-		func() float64 {
-			if joined.Load() {
-				return 1
-			}
-			return 0
-		})
-
-	// storeInfo renders the store line /healthz appends; nil means no store.
-	// latencyInfo likewise renders the delivery-latency summary line.
-	var storeInfo, latencyInfo func() string
+	// node stays nil on a bootstrap server; evStore stays nil without -store.
+	var node *deploy.Node
 	var evStore store.EventStore
-
 	switch cfg.role {
 	case "bootstrap":
 		if cfg.storeDir != "" {
 			return fmt.Errorf("-store applies to role=node only")
 		}
-		// Lease registrations for 30 gossip rounds, so slow test clusters
-		// and long-lived deployments both age peers out sensibly.
-		bs := bootstrap.New(host, self, bootstrap.Config{Lease: 30 * period, DefaultWant: cfg.want})
-		host.Attach(self, simnet.HandlerFunc(bs.Deliver))
-		joined.Store(true)
+		deploy.Bootstrap(host, self, period)
 	case "node":
 		if cfg.bootAddr == "" {
 			return fmt.Errorf("role=node requires -bootstrap")
@@ -262,13 +218,6 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		metrics := telemetry.NewNodeMetrics(reg)
-		// Histogram reads are atomic snapshots: safe off the driver goroutine.
-		latencyInfo = func() string {
-			h := metrics.DeliveryLatency
-			return fmt.Sprintf("latency deliveries=%d p50=%.3fs p99=%.3fs",
-				h.Count(), h.Quantile(0.5), h.Quantile(0.99))
-		}
 		if cfg.storeDir != "" {
 			scfg := cfg.storeCfg
 			scfg.Metrics = telemetry.NewStoreMetrics(reg)
@@ -280,30 +229,36 @@ func run(cfg config) error {
 			st := ds.Stats()
 			fmt.Printf("store open dir=%s records=%d bytes=%d segments=%d\n",
 				cfg.storeDir, st.Records, st.Bytes, st.Segments)
-			// Both reads below are safe off the driver goroutine: Stats
-			// locks the store, the gauge is atomic.
-			storeInfo = func() string {
-				s := evStore.Stats()
-				return fmt.Sprintf("store records=%d bytes=%d topics=%d segments=%d catchup_pending=%d",
-					s.Records, s.Bytes, s.Topics, s.Segments, metrics.CatchUpPending.Value())
+		}
+		var topics []core.TopicID
+		for _, name := range strings.Split(cfg.subscribe, ",") {
+			if name = strings.TrimSpace(name); name != "" {
+				topics = append(topics, core.Topic(name))
 			}
 		}
-		nodeCfg := nodeConfig{
-			self: self, bsID: bsID, subscribe: cfg.subscribe,
-			pubRate: cfg.pubRate, pubs: pubs,
-			publishFor: cfg.publishFor, publishDelay: cfg.publishDelay,
-			quiet: cfg.quiet, period: period, want: cfg.want, seed: cfg.seed,
-			metrics: metrics, tracer: tracer, joined: &joined,
-			store: evStore,
+		for _, pr := range pubs {
+			topics = append(topics, pr.topic) // Subscribe is idempotent
 		}
-		if err := setupNode(eng, host, nodeCfg); err != nil {
-			return err
+		onDeliver := func(n core.NodeID, topic core.TopicID, ev core.EventID, hops int) {
+			fmt.Printf("DELIVER node=%016x topic=%016x event=%016x:%d hops=%d\n",
+				uint64(n), uint64(topic), uint64(ev.Publisher), ev.Seq, hops)
+		}
+		if cfg.quiet {
+			onDeliver = nil // a 100-node cluster would flood stdout
+		}
+		node = deploy.New(host, deploy.Config{
+			Self: self, Bootstrap: bsID, Period: period, Subscribe: topics,
+			Registry: reg, Tracer: tracer, Store: evStore, OnDeliver: onDeliver,
+			Log: os.Stdout,
+		})
+		for _, pr := range pubs {
+			schedulePublish(eng, node, pr, cfg.publishDelay, cfg.publishFor)
 		}
 	default:
 		return fmt.Errorf("unknown -role %q (want node or bootstrap)", cfg.role)
 	}
 
-	srv, err := serveMetrics(cfg.metricsAddr, reg, &joined, storeInfo, latencyInfo)
+	srv, err := serveMetrics(cfg.metricsAddr, reg, node, evStore)
 	if err != nil {
 		return err
 	}
@@ -357,10 +312,11 @@ func run(cfg config) error {
 }
 
 // serveMetrics starts the observability HTTP listener: Prometheus text on
-// /metrics, join state (plus a delivery-latency summary line and, when the
-// node runs with -store, one store summary line) on /healthz, the Go
-// profiler under /debug/pprof/. A nil server is returned when addr is empty.
-func serveMetrics(addr string, reg *telemetry.Registry, joined *atomic.Bool, storeInfo, latencyInfo func() string) (*http.Server, error) {
+// /metrics, join state on /healthz (a bootstrap server, with a nil node, is
+// born ready; a joined node adds a delivery-latency summary line and, with
+// -store, a store summary line), the Go profiler under /debug/pprof/. A nil
+// server is returned when addr is empty.
+func serveMetrics(addr string, reg *telemetry.Registry, node *deploy.Node, evStore store.EventStore) (*http.Server, error) {
 	if addr == "" {
 		return nil, nil
 	}
@@ -373,18 +329,26 @@ func serveMetrics(addr string, reg *telemetry.Registry, joined *atomic.Bool, sto
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
+	// Every read below is safe off the driver goroutine: Joined and the
+	// instruments are atomic, Stats locks the store.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if joined.Load() {
+		if node == nil {
 			fmt.Fprintln(w, "ok")
-			if latencyInfo != nil {
-				fmt.Fprintln(w, latencyInfo())
-			}
-			if storeInfo != nil {
-				fmt.Fprintln(w, storeInfo())
-			}
 			return
 		}
-		http.Error(w, "joining", http.StatusServiceUnavailable)
+		if !node.Joined() {
+			http.Error(w, "joining", http.StatusServiceUnavailable)
+			return
+		}
+		m := node.Metrics()
+		fmt.Fprintln(w, "ok")
+		fmt.Fprintf(w, "latency deliveries=%d p50=%.3fs p99=%.3fs\n",
+			m.DeliveryLatency.Count(), m.DeliveryLatency.Quantile(0.5), m.DeliveryLatency.Quantile(0.99))
+		if evStore != nil {
+			s := evStore.Stats()
+			fmt.Fprintf(w, "store records=%d bytes=%d topics=%d segments=%d catchup_pending=%d\n",
+				s.Records, s.Bytes, s.Topics, s.Segments, m.CatchUpPending.Value())
+		}
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -397,219 +361,24 @@ func serveMetrics(addr string, reg *telemetry.Registry, joined *atomic.Bool, sto
 	return srv, nil
 }
 
-// nodeConfig carries the wiring of one overlay node into setupNode.
-type nodeConfig struct {
-	self         core.NodeID
-	bsID         simnet.NodeID
-	subscribe    string
-	pubRate      float64
-	pubs         []topicRate
-	publishFor   time.Duration
-	publishDelay time.Duration
-	quiet        bool
-	period       simnet.Time
-	want         int
-	seed         int64
-	metrics      *telemetry.NodeMetrics
-	tracer       *telemetry.Tracer
-	joined       *atomic.Bool
-	store        store.EventStore
-}
-
-// setupNode builds the Vitis node and schedules the wire-level join dance:
-// send JoinReq to the bootstrap server — paced by jittered exponential
-// backoff, so rebooting fleets do not hammer it in lockstep — until a
-// JoinResp arrives, then enter the overlay with the returned peers and keep
-// the registration fresh with jittered periodic Announces.
-//
-// After joining, an isolation monitor watches for the node losing every
-// neighbor (a long partition makes both sides evict each other, and nobody
-// dials back on its own — see docs/OPERATIONS.md). An isolated node falls
-// back to the bootstrap server with the same backoff schedule and re-enters
-// through core.Node.Rejoin, which also requests an event replay from the
-// fresh peers to close the gap the outage left.
-func setupNode(eng *simnet.Engine, host *transport.Host, cfg nodeConfig) error {
-	self := cfg.self
-	onDeliver := func(n core.NodeID, topic core.TopicID, ev core.EventID, hops int) {
-		fmt.Printf("DELIVER node=%016x topic=%016x event=%016x:%d hops=%d\n",
-			uint64(n), uint64(topic), uint64(ev.Publisher), ev.Seq, hops)
-	}
-	if cfg.quiet {
-		onDeliver = nil // a 100-node cluster would flood stdout
-	}
-	node := core.NewNode(host, self, core.Params{
-		GossipPeriod:    cfg.period,
-		HeartbeatPeriod: cfg.period,
-		Recovery:        true,
-	}, core.Hooks{
-		OnDeliver: onDeliver,
-		Metrics:   cfg.metrics,
-		Tracer:    cfg.tracer,
-		Store:     cfg.store,
-		// Real nodes stamp events with the wall clock so delivery latency is
-		// measurable across processes (the engine clock is per-process).
-		Now: func() int64 { return time.Now().UnixMilli() },
-	})
-	var topics []core.TopicID
-	if cfg.subscribe != "" {
-		for _, name := range strings.Split(cfg.subscribe, ",") {
-			tp := core.Topic(strings.TrimSpace(name))
-			node.Subscribe(tp)
-			topics = append(topics, tp)
+// schedulePublish publishes to pr.topic at pr.rate events per second. The
+// window opens delay after the join, letting routing tables and
+// subscription state converge first, and admits publishes for dur from then
+// on; a zero dur never closes it.
+func schedulePublish(eng *simnet.Engine, node *deploy.Node, pr topicRate, delay, dur time.Duration) {
+	eng.Every(max(simnet.Time(1000/pr.rate), 1), func() bool {
+		if !node.Joined() {
+			return true
 		}
-	}
-
-	// All state below is touched only on the driver goroutine (every engine
-	// callback and inbound message runs there), except joined, which
-	// /healthz reads and is therefore atomic.
-	rng := rand.New(rand.NewSource(cfg.seed))
-	bo := transport.Backoff{
-		Base:   time.Duration(cfg.period) * time.Millisecond,
-		Max:    30 * time.Second,
-		Jitter: 0.5,
-	}
-	// backoffDelay converts a retry delay to engine time, never below one
-	// tick.
-	backoffDelay := func(attempt int) simnet.Time {
-		d := simnet.Time(bo.Delay(attempt, rng) / time.Millisecond)
-		if d < 1 {
-			d = 1
+		since := time.Duration(eng.Now()-node.JoinedAt()) * time.Millisecond
+		if dur > 0 && since >= delay+dur {
+			return false
 		}
-		return d
-	}
-	rejoining := false
-
-	// Once joined, this composite handler fronts the node: JoinResps feed
-	// the rejoin dance, everything else goes to the protocol stack.
-	steady := simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
-		if resp, ok := msg.(bootstrap.JoinResp); ok {
-			if rejoining {
-				rejoining = false
-				node.Rejoin(resp.Peers)
-				// Replay (inside Rejoin) closes short gaps from the ring
-				// buffers; the store walk backfills anything older.
-				node.StartCatchUp()
-				fmt.Printf("rejoined with %d peers\n", len(resp.Peers))
-			}
-			return
-		}
-		node.Deliver(from, msg)
-	})
-
-	// Until the first JoinResp arrives, a provisional handler occupies our
-	// id; node.Join installs the bare node, which the composite replaces.
-	// joinedAt anchors the -publish-for window; driver goroutine only.
-	var joinedAt simnet.Time
-	host.Attach(self, simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
-		resp, ok := msg.(bootstrap.JoinResp)
-		if !ok || cfg.joined.Load() {
-			return
-		}
-		cfg.joined.Store(true)
-		joinedAt = eng.Now()
-		node.Join(resp.Peers)
-		// Walk the subscribed topics' history on neighbor stores: a node
-		// that was offline (or is brand new) backfills what it missed.
-		node.StartCatchUp()
-		host.Attach(self, steady)
-		fmt.Printf("joined with %d peers\n", len(resp.Peers))
-	}))
-	var tryJoin func(attempt int)
-	tryJoin = func(attempt int) {
-		if cfg.joined.Load() {
-			return
-		}
-		host.Send(self, cfg.bsID, bootstrap.JoinReq{Want: cfg.want})
-		eng.Schedule(backoffDelay(attempt), func() { tryJoin(attempt + 1) })
-	}
-	eng.Schedule(0, func() { tryJoin(0) })
-
-	// Isolation monitor: a joined node with an empty routing table and no
-	// fresh heartbeat peers re-runs the join dance against the bootstrap
-	// server, backoff and all.
-	var tryRejoin func(attempt int)
-	tryRejoin = func(attempt int) {
-		if !rejoining {
-			return
-		}
-		host.Send(self, cfg.bsID, bootstrap.JoinReq{Want: cfg.want})
-		eng.Schedule(backoffDelay(attempt), func() { tryRejoin(attempt + 1) })
-	}
-	eng.Every(2*cfg.period, func() bool {
-		if cfg.joined.Load() && !rejoining && node.Isolated() {
-			rejoining = true
-			fmt.Printf("isolated; rejoining via bootstrap %016x\n", uint64(cfg.bsID))
-			tryRejoin(0)
+		if since >= delay {
+			node.Publish(pr.topic)
 		}
 		return true
 	})
-
-	// Registration refresh, jittered by up to one period so co-started
-	// nodes spread their Announces across the lease window.
-	var announce func()
-	announce = func() {
-		if cfg.joined.Load() {
-			host.Send(self, cfg.bsID, bootstrap.Announce{})
-		}
-		eng.Schedule(10*cfg.period+simnet.Time(rng.Int63n(int64(cfg.period)+1)), announce)
-	}
-	eng.Schedule(10*cfg.period, announce)
-
-	// The publish window opens -publish-delay after join (letting routing
-	// tables and subscription state converge first) and admits publishes
-	// for -publish-for from then on; a zero -publish-for never closes it.
-	pubDelay := simnet.Time(cfg.publishDelay / time.Millisecond)
-	pubWindowStarted := func() bool {
-		return eng.Now() >= joinedAt+pubDelay
-	}
-	pubWindowOpen := func() bool {
-		if cfg.publishFor <= 0 {
-			return true
-		}
-		return eng.Now() < joinedAt+pubDelay+simnet.Time(cfg.publishFor/time.Millisecond)
-	}
-
-	if cfg.pubRate > 0 && len(topics) > 0 {
-		interval := simnet.Time(1000 / cfg.pubRate)
-		if interval < 1 {
-			interval = 1
-		}
-		eng.Every(interval, func() bool {
-			if cfg.joined.Load() {
-				if !pubWindowOpen() {
-					return false
-				}
-				if pubWindowStarted() {
-					for _, tp := range topics {
-						node.Publish(tp)
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	// -publish entries: per-topic rates, auto-subscribed, same window.
-	for _, pr := range cfg.pubs {
-		tp := core.Topic(pr.name)
-		node.Subscribe(tp)
-		interval := simnet.Time(1000 / pr.rate)
-		if interval < 1 {
-			interval = 1
-		}
-		eng.Every(interval, func() bool {
-			if cfg.joined.Load() {
-				if !pubWindowOpen() {
-					return false
-				}
-				if pubWindowStarted() {
-					node.Publish(tp)
-				}
-			}
-			return true
-		})
-	}
-	return nil
 }
 
 // peakRSSBytes reports the process's peak resident set size.

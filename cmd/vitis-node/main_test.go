@@ -45,7 +45,7 @@ func TestRealProcessCluster(t *testing.T) {
 
 	common := []string{"-listen", "127.0.0.1:0", "-bootstrap", bsAddr,
 		"-subscribe", "news", "-period-ms", "100"}
-	publisher := harness.StartT(t, bin, append([]string{"-seed", "2", "-publish-rate", "5", "-trace", traceFile}, common...)...)
+	publisher := harness.StartT(t, bin, append([]string{"-seed", "2", "-publish", "news=5", "-trace", traceFile}, common...)...)
 	subA := harness.StartT(t, bin, append([]string{"-seed", "3", "-metrics-addr", "127.0.0.1:0"}, common...)...)
 	subB := harness.StartT(t, bin, append([]string{"-seed", "4"}, common...)...)
 
@@ -141,7 +141,7 @@ func TestStoreBackedCatchUp(t *testing.T) {
 	pub := harness.StartT(t, bin, "-listen", "127.0.0.1:0", "-bootstrap", bsAddr,
 		"-seed", "2", "-period-ms", "100", "-subscribe", "news",
 		"-store", storeDir, "-metrics-addr", "127.0.0.1:0",
-		"-publish-rate", "10", "-publish-for", "1s")
+		"-publish", "news=10", "-publish-for", "1s")
 	pubLine := pub.MustExpect(t, "id=", 10*time.Second)
 	pubID := strings.TrimPrefix(strings.Fields(pubLine)[0], "id=")
 	pub.MustExpect(t, "store open dir=", 10*time.Second)

@@ -5,7 +5,7 @@
 // of time and healed, releasing the traffic they stashed.
 //
 // The package exists so the failure-recovery machinery of internal/core and
-// cmd/vitis-node can be exercised against the same faults the paper's §III-D
+// internal/deploy can be exercised against the same faults the paper's §III-D
 // assumes — churn, loss and temporary isolation — without leaving the
 // process or touching iptables. Everything is seeded-deterministic: two
 // controllers built from the same Config observing the same per-link message
@@ -15,7 +15,8 @@
 // # Composition
 //
 //	ctl := chaos.New(chaos.Config{Seed: 7, Drop: 0.2})
-//	host := transport.NewHost(ctl.Wrap(bus.Endpoint()), ...)
+//	host := transport.NewHost(eng, ctl.Wrap(bus.Endpoint()), nil)
+//	node := deploy.New(host, deploy.Config{...})
 //
 // Wrap on a nil *Controller returns the transport untouched, so callers can
 // thread an optional controller through without branching; the disabled path

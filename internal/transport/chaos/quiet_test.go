@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"vitis/internal/core"
-	"vitis/internal/idspace"
+	"vitis/internal/deploy"
 	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
 	"vitis/internal/transport"
@@ -17,8 +17,9 @@ import (
 // TestQuietHeartbeatsRepairUnderLoss: under quiet heartbeats a node sends a
 // changed profile in full once, and every later heartbeat carries only its
 // digest, so at 20 % loss about one neighbour in five misses the full copy
-// and must get it back through a Want. Six nodes on a Loopback bus (every
-// frame through the codec) each change their subscriptions twice; each of
+// and must get it back through a Want. Six deployed nodes on a Loopback bus
+// (every frame through the codec), joined through a bootstrap node, each
+// change their subscriptions twice; each of
 // the 60 (node, neighbour) pairs must converge, and four in five within 5
 // heartbeat periods. A pair misses that mark with probability ≈ 0.02
 // (the full heartbeat and then three repair round trips lost), so the
@@ -33,35 +34,11 @@ func TestQuietHeartbeatsRepairUnderLoss(t *testing.T) {
 	)
 	ctl := New(Config{Seed: 7, Drop: 0.2})
 	defer ctl.Close()
-	bus := transport.NewLoopback()
-	params := core.Params{
-		GossipPeriod:        period,
-		HeartbeatPeriod:     period,
-		NetworkSizeEstimate: nodes,
-		Recovery:            true,
+	cfgs := make([]deploy.Config, nodes)
+	for i := range cfgs {
+		cfgs[i] = deploy.Config{Subscribe: []core.TopicID{core.Topic("news")}, Registry: telemetry.NewRegistry()}
 	}
-	ids := make([]core.NodeID, nodes)
-	for i := range ids {
-		ids[i] = idspace.HashUint64(uint64(i))
-	}
-	hosts := make([]*transport.Host, nodes)
-	cores := make([]*core.Node, nodes)
-	mets := make([]*telemetry.NodeMetrics, nodes)
-	for i := range cores {
-		mets[i] = telemetry.NewNodeMetrics(telemetry.NewRegistry())
-		hosts[i] = transport.NewHost(simnet.NewEngine(int64(200+i)), ctl.Wrap(bus.Endpoint()), nil)
-		cores[i] = core.NewNode(hosts[i], ids[i], params, core.Hooks{Metrics: mets[i]})
-		cores[i].Subscribe(core.Topic("news"))
-	}
-	for i, nd := range cores {
-		var boot []core.NodeID
-		for j, id := range ids {
-			if j != i {
-				boot = append(boot, id)
-			}
-		}
-		nd.Join(boot)
-	}
+	hosts, nds := deployCluster(ctl, transport.NewLoopback(), 200, period, cfgs)
 
 	// Change c is node c%nodes subscribing to a topic of its own, half a
 	// period off the heartbeat phase. Every node checks once per period
@@ -76,10 +53,10 @@ func TestQuietHeartbeatsRepairUnderLoss(t *testing.T) {
 	held := make([][]simnet.Time, changes) // [change][node]: time from change to first seen, 0 = never
 	for c := range held {
 		held[c] = make([]simnet.Time, nodes)
-		nd := cores[c%nodes]
+		nd := nds[c%nodes]
 		hosts[c%nodes].Engine().ScheduleAt(changeAt(c), func() { nd.Subscribe(topic(c)) })
 	}
-	for i := range cores {
+	for i := range nds {
 		i, eng := i, hosts[i].Engine()
 		eng.Every(period, func() bool {
 			for c := 0; c < changes; c++ {
@@ -87,7 +64,7 @@ func TestQuietHeartbeatsRepairUnderLoss(t *testing.T) {
 				if c%nodes == i || since <= 0 {
 					continue
 				}
-				p, _ := cores[i].KnownProfile(ids[c%nodes])
+				p, _ := nds[i].KnownProfile(nds[c%nodes].ID())
 				mu.Lock()
 				if held[c][i] == 0 && p != nil && p.Subscribed(topic(c)) {
 					held[c][i] = since
@@ -100,12 +77,10 @@ func TestQuietHeartbeatsRepairUnderLoss(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, h := range hosts {
-		go transport.NewDriver(h).Run(ctx)
-	}
+	runCluster(ctx, t, hosts, nds)
 	wants := func() (s uint64) {
-		for _, m := range mets {
-			s += m.ProfileWants.Value()
+		for _, nd := range nds {
+			s += nd.Metrics().ProfileWants.Value()
 		}
 		return s
 	}

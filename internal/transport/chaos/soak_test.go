@@ -8,20 +8,60 @@ import (
 	"time"
 
 	"vitis/internal/core"
+	"vitis/internal/deploy"
 	"vitis/internal/idspace"
 	"vitis/internal/simnet"
 	"vitis/internal/telemetry"
 	"vitis/internal/transport"
 )
 
+// deployCluster builds one deployed node per config on a chaos-wrapped
+// endpoint of bus, node i with id HashUint64(i) on hosts[i] with engine seed
+// seed+i, and a bootstrap node on a plain endpoint as the last host. Each
+// config's Self, Bootstrap and Period are filled in.
+func deployCluster(ctl *Controller, bus *transport.Loopback, seed int64, period simnet.Time, cfgs []deploy.Config) ([]*transport.Host, []*deploy.Node) {
+	const bsID = simnet.NodeID(1)
+	hosts := make([]*transport.Host, len(cfgs), len(cfgs)+1)
+	nodes := make([]*deploy.Node, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Self, cfg.Bootstrap, cfg.Period = idspace.HashUint64(uint64(i)), bsID, period
+		hosts[i] = transport.NewHost(simnet.NewEngine(seed+int64(i)), ctl.Wrap(bus.Endpoint()), nil)
+		nodes[i] = deploy.New(hosts[i], cfg)
+	}
+	bs := transport.NewHost(simnet.NewEngine(seed-1), bus.Endpoint(), nil)
+	deploy.Bootstrap(bs, bsID, period)
+	return append(hosts, bs), nodes
+}
+
+// runCluster drives every host until ctx ends and returns once every node
+// has joined.
+func runCluster(ctx context.Context, t *testing.T, hosts []*transport.Host, nodes []*deploy.Node) {
+	t.Helper()
+	for _, h := range hosts {
+		go transport.NewDriver(h).Run(ctx)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, nd := range nodes {
+		for !nd.Joined() {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %016x never joined", uint64(nd.ID()))
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
 // TestChaosSoak boots a real Loopback cluster under sustained 20% message
 // loss, cuts one subscriber off behind a named partition, heals it, and
 // requires full convergence: every subscriber ends up having delivered
 // every event published, including those flooded while the partition was
-// up. It exercises the whole recovery stack end to end — suspicion and
-// eviction, stash-and-release partitions, lost-peer recovery, replay, and
-// the anti-entropy sweep that mops up plain loss. The partition lasts 10
-// seconds (2.5 in -short); the test runs with -race in CI.
+// up. Every node is the deployed node cmd/vitis-node runs, joined through a
+// bootstrap node outside the chaos, so the test exercises the whole
+// recovery stack end to end — suspicion and eviction, stash-and-release
+// partitions, the cut node's isolation and rejoin through the bootstrap
+// node, lost-peer recovery, replay, and the anti-entropy sweep that mops
+// up plain loss. The partition lasts 10 seconds (2.5 in -short); the test
+// runs with -race in CI.
 func TestChaosSoak(t *testing.T) {
 	const nodes = 4
 	partitionFor := 10 * time.Second
@@ -32,21 +72,7 @@ func TestChaosSoak(t *testing.T) {
 	ctl := New(Config{Seed: 11, Drop: 0.2, StashCap: 256})
 	defer ctl.Close()
 	bus := transport.NewLoopback()
-
-	params := core.Params{
-		GossipPeriod:        50 * simnet.Millisecond,
-		HeartbeatPeriod:     50 * simnet.Millisecond,
-		NetworkSizeEstimate: nodes,
-		Recovery:            true,
-		ReplayDepth:         512,
-		AntiEntropyRounds:   8,
-	}
 	tp := core.Topic("news")
-
-	ids := make([]core.NodeID, nodes)
-	for i := range ids {
-		ids[i] = idspace.HashUint64(uint64(i))
-	}
 
 	// delivered tracks, per node index, the set of events its OnDeliver
 	// hook has fired for. Hooks run on each node's driver goroutine.
@@ -57,41 +83,29 @@ func TestChaosSoak(t *testing.T) {
 	}
 	var published []core.EventID
 
-	hosts := make([]*transport.Host, nodes)
-	cores := make([]*core.Node, nodes)
-	mets := make([]*telemetry.NodeMetrics, nodes)
-	for i := 0; i < nodes; i++ {
+	cfgs := make([]deploy.Config, nodes)
+	for i := range cfgs {
 		i := i
-		mets[i] = telemetry.NewNodeMetrics(telemetry.NewRegistry())
-		hosts[i] = transport.NewHost(simnet.NewEngine(int64(100+i)), ctl.Wrap(bus.Endpoint()), nil)
-		cores[i] = core.NewNode(hosts[i], ids[i], params, core.Hooks{
+		cfgs[i] = deploy.Config{
+			Subscribe: []core.TopicID{tp},
+			Registry:  telemetry.NewRegistry(),
 			OnDeliver: func(_ core.NodeID, _ core.TopicID, ev core.EventID, _ int) {
 				mu.Lock()
 				delivered[i][ev] = true
 				mu.Unlock()
 			},
-			Metrics: mets[i],
-		})
-		cores[i].Subscribe(tp)
-	}
-	for i, nd := range cores {
-		var boot []core.NodeID
-		for j, id := range ids {
-			if j != i {
-				boot = append(boot, id)
-			}
 		}
-		nd.Join(boot)
 	}
+	hosts, nds := deployCluster(ctl, bus, 100, 50*simnet.Millisecond, cfgs)
 
 	// Node 0 publishes every 100ms until told to stop; the event list is
 	// the convergence target.
 	var stopPublishing atomic.Bool
 	hosts[0].Engine().Every(100*simnet.Millisecond, func() bool {
-		if stopPublishing.Load() {
+		if stopPublishing.Load() || !nds[0].Joined() {
 			return true
 		}
-		ev := cores[0].Publish(tp)
+		ev := nds[0].Publish(tp)
 		mu.Lock()
 		published = append(published, ev)
 		mu.Unlock()
@@ -100,15 +114,12 @@ func TestChaosSoak(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, h := range hosts {
-		h := h
-		go transport.NewDriver(h).Run(ctx)
-	}
+	runCluster(ctx, t, hosts, nds)
 
 	// Warm up, cut node 3 off, hold the partition, heal, publish a little
 	// longer, then freeze the target set.
 	time.Sleep(1500 * time.Millisecond)
-	ctl.Partition("cut", ids[3])
+	ctl.Partition("cut", nds[3].ID())
 	time.Sleep(partitionFor)
 	ctl.Heal("cut")
 	time.Sleep(1 * time.Second)
@@ -162,8 +173,8 @@ func TestChaosSoak(t *testing.T) {
 	// and from the anti-entropy sweep.
 	sum := func(f func(m *telemetry.NodeMetrics) uint64) uint64 {
 		var s uint64
-		for _, m := range mets {
-			s += f(m)
+		for _, nd := range nds {
+			s += f(nd.Metrics())
 		}
 		return s
 	}
@@ -172,6 +183,9 @@ func TestChaosSoak(t *testing.T) {
 	suspected := sum(func(m *telemetry.NodeMetrics) uint64 { return m.NeighborsSuspected.Value() })
 	t.Logf("neighbors suspected %d, evicted %d", suspected,
 		sum(func(m *telemetry.NodeMetrics) uint64 { return m.NeighborsEvicted.Value() }))
+	if nds[3].Metrics().Rejoins.Value() == 0 {
+		t.Error("the cut node never rejoined through the bootstrap node")
+	}
 	if suspected == 0 {
 		t.Error("no neighbor was ever suspected despite a partition")
 	}
