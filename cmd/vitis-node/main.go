@@ -191,10 +191,16 @@ func run(cfg config) error {
 	reg.GaugeFunc("vitis_proc_max_rss_bytes", "Peak resident set size of this process.",
 		func() float64 { return float64(peakRSSBytes()) })
 
-	fmt.Printf("id=%016x listening on %s\n", uint64(self), udp.LocalAddr())
-
+	// Signals are registered before the first readiness line: Go drops a
+	// SIGUSR1 nobody listens for, and a caller may signal as soon as it
+	// reads "listening on".
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	usr1 := make(chan os.Signal, 1)
+	signal.Notify(usr1, syscall.SIGUSR1)
+	defer signal.Stop(usr1)
+
+	fmt.Printf("id=%016x listening on %s\n", uint64(self), udp.LocalAddr())
 
 	// node stays nil on a bootstrap server; evStore stays nil without -store.
 	var node *deploy.Node
@@ -269,7 +275,7 @@ func run(cfg config) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sigusrLoop(ctx, reg)
+		sigusrLoop(ctx, reg, usr1)
 	}()
 	if ctl != nil {
 		// Arm scheduled partitions now that the node's id is attached, so
@@ -390,11 +396,9 @@ func peakRSSBytes() int64 {
 	return ru.Maxrss * 1024 // Linux reports KiB
 }
 
-// sigusrLoop dumps the metric registry on SIGUSR1 until ctx ends.
-func sigusrLoop(ctx context.Context, reg *telemetry.Registry) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGUSR1)
-	defer signal.Stop(ch)
+// sigusrLoop dumps the metric registry on every SIGUSR1 that arrives on ch
+// until ctx ends.
+func sigusrLoop(ctx context.Context, reg *telemetry.Registry, ch <-chan os.Signal) {
 	for {
 		select {
 		case <-ctx.Done():

@@ -87,9 +87,12 @@ type Node struct {
 	// but are not in our routing table; together with the table they form
 	// the (symmetrized) cluster graph used by election and flooding.
 	reverse map[NodeID]simnet.Time
-	// knownSubs caches subscription lists gleaned from T-Man payloads for
-	// nodes without a full profile yet.
-	knownSubs map[NodeID][]TopicID
+	// knownSubs holds, for every candidate a selection has seen with a
+	// T-Man payload, its latest subscription list and that list's cached
+	// Eq. 1 utility against this node's own (the knownSubs type says when
+	// the score is reset). It is never pruned: it grows with every id the
+	// node has ever ranked, one 32-byte value each.
+	knownSubs map[NodeID]knownSubs
 	// lost remembers evicted peers (bounded) past the suspicion tombstone,
 	// so a peer returning after a long partition is still recognized as a
 	// recovery rather than a stranger (see recovery.go).
@@ -161,7 +164,7 @@ func NewNode(net simnet.Net, id NodeID, params Params, hooks Hooks) *Node {
 		live:        ring.NewLiveness(p.HeartbeatPeriod),
 		profiles:    make(map[NodeID]*Profile),
 		reverse:     make(map[NodeID]simnet.Time),
-		knownSubs:   make(map[NodeID][]TopicID),
+		knownSubs:   make(map[NodeID]knownSubs),
 		lost:        make(map[NodeID]simnet.Time),
 		recent:      make(map[TopicID][]replayRecord),
 		replayAsk:   make(map[NodeID]int),
@@ -236,8 +239,9 @@ func (n *Node) Subscriptions() []TopicID {
 
 // SetRate installs the publication-rate estimate rate(t) used by the Eq. 1
 // utility function. A nil function means uniform rates. The function must be
-// pure (stable per topic): the node caches its own subscription rate mass
-// and only recomputes it on SetRate/Subscribe/Unsubscribe.
+// pure (stable per topic): the node caches its own subscription rate mass and
+// every candidate's utility score, and recomputes them only on
+// SetRate/Subscribe/Unsubscribe or when a candidate's list changes.
 func (n *Node) SetRate(rate func(TopicID) float64) {
 	n.rate = rate
 	n.subsDirty = true
@@ -558,7 +562,8 @@ func (n *Node) sortedSubs() []TopicID {
 }
 
 // subsView returns the sorted subscription list together with its Eq. 1
-// rate mass, rebuilding both if the set or rate function changed.
+// rate mass, rebuilding both if the set or rate function changed. A rebuild
+// resets every candidate score cached in knownSubs.
 func (n *Node) subsView() ([]TopicID, float64) {
 	if n.subsDirty {
 		out := make([]TopicID, 0, len(n.subs))
@@ -569,6 +574,10 @@ func (n *Node) subsView() ([]TopicID, float64) {
 		n.subsSorted = out
 		n.subsWeight = weightSum(out, n.rate)
 		n.subsDirty = false
+		for id, k := range n.knownSubs {
+			k.u = unscored
+			n.knownSubs[id] = k
+		}
 	}
 	return n.subsSorted, n.subsWeight
 }
@@ -686,12 +695,17 @@ func (n *Node) expireState(now simnet.Time) {
 	n.relays.Expire(now)
 }
 
-// recordSubs caches a subscription list learned from gossip payloads.
+// recordSubs caches a subscription list learned from gossip payloads. An
+// equal list keeps the stored one and its score, so a wire-decoded copy of
+// an unchanged list dies young and the next selection still hits the cache.
 func (n *Node) recordSubs(id NodeID, subs []TopicID) {
 	if id == n.id {
 		return
 	}
-	n.knownSubs[id] = subs
+	if k, ok := n.knownSubs[id]; ok && sameSubs(k.subs, subs) {
+		return
+	}
+	n.knownSubs[id] = knownSubs{subs: subs, u: unscored}
 }
 
 // --- Introspection (tests, analysis, examples) ---

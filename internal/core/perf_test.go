@@ -101,24 +101,48 @@ func perfTopics(n int) []TopicID {
 	return ts
 }
 
-// TestSelectNeighborsAllocFree pins the steady-state allocation count of
-// Algorithm 4 at zero: after warm-up the selection runs entirely in the
-// node's reusable scratch buffers.
-func TestSelectNeighborsAllocFree(t *testing.T) {
-	n := perfTestNode(t, 1<<40, Params{RTSize: 15, SWLinks: 1, NetworkSizeEstimate: 1024})
+// selectFixture is a node on 8 of 16 topics and the candidate buffers
+// Algorithm 4 is fed in turn: 32 candidates of 4 topics each. Uniform is
+// one buffer with rate == nil, as a simulated node sees an unchanged
+// neighbourhood. Otherwise the node gets a map-backed rate function, as the
+// benchmark's sim-publish and the paper's rate-aware runs do, and two
+// buffers whose payloads are equal but separately allocated, as the wire
+// decodes them.
+func selectFixture(tb testing.TB, uniform bool) (*Node, [][]tman.Descriptor) {
+	n := perfTestNode(tb, 1<<40, Params{RTSize: 15, SWLinks: 1, NetworkSizeEstimate: 1024})
 	topics := perfTopics(16)
 	for _, tp := range topics[:8] {
 		n.Subscribe(tp)
 	}
-	buffer := perfBuffer(32, topics)
-	// Warm the scratch buffers and caches.
-	for i := 0; i < 3; i++ {
-		n.selectNeighbors(buffer)
+	if uniform {
+		return n, [][]tman.Descriptor{perfBuffer(32, topics)}
 	}
-	if avg := testing.AllocsPerRun(100, func() {
-		n.selectNeighbors(buffer)
-	}); avg != 0 {
-		t.Errorf("selectNeighbors allocates %.2f objects/run, want 0", avg)
+	rates := make(map[TopicID]float64, len(topics))
+	for i, tp := range topics {
+		rates[tp] = 1 / float64(i+1)
+	}
+	n.SetRate(func(t TopicID) float64 { return rates[t] })
+	return n, [][]tman.Descriptor{perfBuffer(32, topics), perfBuffer(32, topics)}
+}
+
+// TestSelectNeighborsAllocFree pins the steady-state allocation count of
+// Algorithm 4 at zero: after warm-up the selection runs entirely in the
+// node's reusable scratch buffers, and a wire copy of a known list is
+// dropped rather than stored.
+func TestSelectNeighborsAllocFree(t *testing.T) {
+	for _, uniform := range []bool{true, false} {
+		n, buffers := selectFixture(t, uniform)
+		// Warm the scratch buffers and caches.
+		for _, b := range buffers {
+			n.selectNeighbors(b)
+		}
+		i := 0
+		if avg := testing.AllocsPerRun(100, func() {
+			n.selectNeighbors(buffers[i%len(buffers)])
+			i++
+		}); avg != 0 {
+			t.Errorf("uniform=%v: selectNeighbors allocates %.2f objects/run, want 0", uniform, avg)
+		}
 	}
 }
 
@@ -159,18 +183,25 @@ func TestForwardDataAllocBound(t *testing.T) {
 	}
 }
 
+// BenchmarkSelectNeighbors runs Algorithm 4 on selectFixture's inputs:
+// "uniform" and "rate-wire" (map-backed rates, equal payloads copied as the
+// wire decodes them).
 func BenchmarkSelectNeighbors(b *testing.B) {
-	n := perfTestNode(b, 1<<40, Params{RTSize: 15, SWLinks: 1, NetworkSizeEstimate: 1024})
-	topics := perfTopics(16)
-	for _, tp := range topics[:8] {
-		n.Subscribe(tp)
-	}
-	buffer := perfBuffer(32, topics)
-	n.selectNeighbors(buffer)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.selectNeighbors(buffer)
+	for _, c := range []struct {
+		name    string
+		uniform bool
+	}{{"uniform", true}, {"rate-wire", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			n, buffers := selectFixture(b, c.uniform)
+			for _, buf := range buffers {
+				n.selectNeighbors(buf)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.selectNeighbors(buffers[i%len(buffers)])
+			}
+		})
 	}
 }
 

@@ -148,7 +148,7 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 		if sl.Taken(d.ID) {
 			continue
 		}
-		u := utilitySorted(mine, myWeight, n.subsOf(d), n.rate)
+		u := n.utilityOf(d, mine, myWeight)
 		if n.proximity != nil && n.proximityWeight > 0 {
 			u = (1-n.proximityWeight)*u + n.proximityWeight*n.proximity(d.ID)
 		}
@@ -189,8 +189,48 @@ func (n *Node) subsOf(d tman.Descriptor) []TopicID {
 	if p := n.profiles[d.ID]; p != nil {
 		return p.Subs
 	}
-	if subs, ok := n.knownSubs[d.ID]; ok {
-		return subs
+	if k, ok := n.knownSubs[d.ID]; ok {
+		return k.subs
 	}
 	return nil
+}
+
+// knownSubs is a candidate's subscription list with its cached Eq. 1
+// utility u against the node's current sorted list and rate mass, or
+// unscored. recordSubs resets u when the list changes and subsView resets
+// every u when the node's own list or rate function does.
+type knownSubs struct {
+	subs []TopicID
+	u    float64
+}
+
+// unscored marks a knownSubs entry whose utility has not been computed;
+// Eq. 1 never yields a negative value.
+const unscored = -1
+
+// utilityOf is Eq. 1 for candidate d, where mine and myWeight come from
+// subsView. It answers from the candidate's knownSubs entry when that entry
+// holds the list subsOf(d) ranks, scoring the entry on first use; any other
+// list is scored afresh and nothing is stored.
+func (n *Node) utilityOf(d tman.Descriptor, mine []TopicID, myWeight float64) float64 {
+	subs := n.subsOf(d)
+	k, ok := n.knownSubs[d.ID]
+	if !ok || !sameSubs(k.subs, subs) {
+		return utilitySorted(mine, myWeight, subs, n.rate)
+	}
+	if k.u < 0 {
+		k.u = utilitySorted(mine, myWeight, k.subs, n.rate)
+		n.knownSubs[d.ID] = k
+	}
+	return k.u
+}
+
+// sameSubs reports whether two subscription lists are equal: the same
+// backing array (a payload pointing into one profile) or, for a copy the
+// wire decoded, the same topics.
+func sameSubs(a, b []TopicID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
 }
