@@ -227,3 +227,22 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Error("metrics endpoint still serving after shutdown")
 	}
 }
+
+// TestLoneNodeLogsOneIsolation: the only node of a cluster joins with no
+// peers and stays isolated. At a 50ms period it must spend three seconds
+// (60 periods) on one isolation episode with a growing backoff, not log an
+// isolation and a rejoin line every two periods.
+func TestLoneNodeLogsOneIsolation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping multi-process test in -short mode")
+	}
+	bin := harness.BuildT(t, t.TempDir())
+	bs := harness.StartT(t, bin, "-role", "bootstrap", "-listen", "127.0.0.1:0", "-seed", "1", "-period-ms", "50")
+	bsAddr := harness.LastField(bs.MustExpect(t, "listening on", 10*time.Second))
+	p := harness.StartT(t, bin, "-listen", "127.0.0.1:0", "-bootstrap", bsAddr, "-seed", "2", "-period-ms", "50")
+	p.MustExpect(t, "joined with 0 peers", 10*time.Second)
+	time.Sleep(3 * time.Second)
+	if n := p.Count("isolated; rejoining via bootstrap"); n > 1 {
+		t.Errorf("%d isolation lines in 3s, want at most 1; log:\n%s", n, p.Log())
+	}
+}

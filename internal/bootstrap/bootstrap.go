@@ -35,58 +35,33 @@ func (m JoinResp) WireSize() int { return 2 + 8*len(m.Peers) }
 // WireSize implements simnet.Sized.
 func (m Announce) WireSize() int { return 1 }
 
-// maxWant caps the peers one JoinReq is answered with. Want is an untrusted
-// integer off the wire, and without the cap one small datagram would have
-// the whole registry sent to whatever address its envelope names.
-const maxWant = 32
-
-// Config parameterises the service.
-type Config struct {
-	// MaxPeers bounds the registry (default 1024).
-	MaxPeers int
-	// Lease is how long a registration lives without refresh (default
-	// 30 simulated seconds).
-	Lease simnet.Time
-	// DefaultWant is handed out when a JoinReq asks for <= 0 peers
-	// (default 3).
-	DefaultWant int
-}
-
-func (c *Config) setDefaults() {
-	if c.MaxPeers == 0 {
-		c.MaxPeers = 1024
-	}
-	if c.Lease == 0 {
-		c.Lease = 30 * simnet.Second
-	}
-	if c.DefaultWant == 0 {
-		c.DefaultWant = 3
-	}
-}
+const (
+	// maxWant caps the peers one JoinReq is answered with. Want is an
+	// untrusted integer off the wire, and without the cap one small
+	// datagram would have the whole registry sent to whatever address its
+	// envelope names.
+	maxWant = 32
+	// maxPeers bounds the registry; a full registry still samples well.
+	maxPeers = 1024
+	// defaultWant is handed out when a JoinReq asks for <= 0 peers.
+	defaultWant = 3
+)
 
 // Service is the bootstrap node. Attach it to the network under its id.
 type Service struct {
-	net  simnet.Net
-	self simnet.NodeID
-	cfg  Config
-	rng  *rand.Rand
-
+	net   simnet.Net
+	self  simnet.NodeID
+	lease simnet.Time
+	rng   *rand.Rand
+	// expiry maps each registered peer to the end of its lease.
 	expiry map[simnet.NodeID]simnet.Time
 }
 
-// New creates a bootstrap service; the caller attaches it:
-//
-//	bs := bootstrap.New(net, bootstrapID, bootstrap.Config{})
-//	net.Attach(bootstrapID, simnet.HandlerFunc(bs.Deliver))
-func New(net simnet.Net, self simnet.NodeID, cfg Config) *Service {
-	cfg.setDefaults()
-	return &Service{
-		net:    net,
-		self:   self,
-		cfg:    cfg,
-		rng:    net.Engine().DeriveRNG(int64(self) ^ 0x6273),
-		expiry: make(map[simnet.NodeID]simnet.Time),
-	}
+// New creates a bootstrap service whose registrations live lease without
+// a refresh; deploy.Bootstrap builds one and attaches it.
+func New(net simnet.Net, self simnet.NodeID, lease simnet.Time) *Service {
+	return &Service{net: net, self: self, lease: lease,
+		rng: net.Engine().DeriveRNG(int64(self) ^ 0x6273), expiry: make(map[simnet.NodeID]simnet.Time)}
 }
 
 // Deliver implements simnet.Handler.
@@ -104,10 +79,10 @@ func (s *Service) Deliver(from simnet.NodeID, msg simnet.Message) {
 func (s *Service) register(id simnet.NodeID) {
 	now := s.net.Engine().Now()
 	s.gc(now)
-	if _, known := s.expiry[id]; !known && len(s.expiry) >= s.cfg.MaxPeers {
+	if _, known := s.expiry[id]; !known && len(s.expiry) >= maxPeers {
 		return // registry full; the sample set is large enough anyway
 	}
-	s.expiry[id] = now + s.cfg.Lease
+	s.expiry[id] = now + s.lease
 }
 
 func (s *Service) gc(now simnet.Time) {
@@ -122,7 +97,7 @@ func (s *Service) gc(now simnet.Time) {
 // excluding the asker.
 func (s *Service) sample(asker simnet.NodeID, want int) []simnet.NodeID {
 	if want <= 0 {
-		want = s.cfg.DefaultWant
+		want = defaultWant
 	}
 	want = min(want, maxWant)
 	now := s.net.Engine().Now()

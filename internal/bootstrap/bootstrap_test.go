@@ -6,11 +6,11 @@ import (
 	"vitis/internal/simnet"
 )
 
-func setup(t *testing.T, cfg Config) (*simnet.Engine, *simnet.Network, *Service) {
+func setup(t *testing.T, lease simnet.Time) (*simnet.Engine, *simnet.Network, *Service) {
 	t.Helper()
 	eng := simnet.NewEngine(1)
 	net := simnet.NewNetwork(eng, simnet.ConstantLatency(5))
-	bs := New(net, 1, cfg)
+	bs := New(net, 1, lease)
 	net.Attach(1, simnet.HandlerFunc(bs.Deliver))
 	return eng, net, bs
 }
@@ -35,7 +35,7 @@ func join(t *testing.T, eng *simnet.Engine, net *simnet.Network, id simnet.NodeI
 }
 
 func TestFirstJoinerGetsEmptyList(t *testing.T) {
-	eng, net, _ := setup(t, Config{})
+	eng, net, _ := setup(t, 30*simnet.Second)
 	peers := join(t, eng, net, 100, 3)
 	if len(peers) != 0 {
 		t.Errorf("first joiner got peers %v", peers)
@@ -43,7 +43,7 @@ func TestFirstJoinerGetsEmptyList(t *testing.T) {
 }
 
 func TestLaterJoinersGetPeers(t *testing.T) {
-	eng, net, bs := setup(t, Config{})
+	eng, net, bs := setup(t, 30*simnet.Second)
 	join(t, eng, net, 100, 3)
 	join(t, eng, net, 101, 3)
 	peers := join(t, eng, net, 102, 3)
@@ -56,7 +56,7 @@ func TestLaterJoinersGetPeers(t *testing.T) {
 }
 
 func TestSampleExcludesAsker(t *testing.T) {
-	eng, net, _ := setup(t, Config{})
+	eng, net, _ := setup(t, 30*simnet.Second)
 	join(t, eng, net, 100, 3)
 	peers := join(t, eng, net, 100, 3) // re-join
 	for _, p := range peers {
@@ -67,7 +67,7 @@ func TestSampleExcludesAsker(t *testing.T) {
 }
 
 func TestSampleBoundedByWant(t *testing.T) {
-	eng, net, _ := setup(t, Config{})
+	eng, net, _ := setup(t, 30*simnet.Second)
 	for i := simnet.NodeID(100); i < 120; i++ {
 		join(t, eng, net, i, 3)
 	}
@@ -80,7 +80,7 @@ func TestSampleBoundedByWant(t *testing.T) {
 // TestSampleBoundedByMaxWant: a JoinReq asking for more peers than maxWant,
 // as a hostile datagram may, gets exactly maxWant of them.
 func TestSampleBoundedByMaxWant(t *testing.T) {
-	eng, net, _ := setup(t, Config{Lease: simnet.Hour})
+	eng, net, _ := setup(t, simnet.Hour)
 	for i := simnet.NodeID(100); i < 100+maxWant+8; i++ {
 		join(t, eng, net, i, 3)
 	}
@@ -90,18 +90,18 @@ func TestSampleBoundedByMaxWant(t *testing.T) {
 }
 
 func TestWantZeroUsesDefault(t *testing.T) {
-	eng, net, _ := setup(t, Config{DefaultWant: 2})
-	for i := simnet.NodeID(100); i < 110; i++ {
+	eng, net, _ := setup(t, 30*simnet.Second)
+	for i := simnet.NodeID(100); i < 100+defaultWant+7; i++ {
 		join(t, eng, net, i, 3)
 	}
 	peers := join(t, eng, net, 200, 0)
-	if len(peers) != 2 {
-		t.Errorf("got %d peers, want the default 2", len(peers))
+	if len(peers) != defaultWant {
+		t.Errorf("got %d peers, want defaultWant = %d", len(peers), defaultWant)
 	}
 }
 
 func TestRegistrationExpires(t *testing.T) {
-	eng, net, bs := setup(t, Config{Lease: 5 * simnet.Second})
+	eng, net, bs := setup(t, 5*simnet.Second)
 	join(t, eng, net, 100, 3)
 	if bs.Size() != 1 {
 		t.Fatalf("size %d", bs.Size())
@@ -113,7 +113,7 @@ func TestRegistrationExpires(t *testing.T) {
 }
 
 func TestAnnounceRefreshesLease(t *testing.T) {
-	eng, net, bs := setup(t, Config{Lease: 5 * simnet.Second})
+	eng, net, bs := setup(t, 5*simnet.Second)
 	join(t, eng, net, 100, 3)
 	for i := 0; i < 4; i++ {
 		eng.RunUntil(eng.Now() + 3*simnet.Second)
@@ -125,15 +125,17 @@ func TestAnnounceRefreshesLease(t *testing.T) {
 	}
 }
 
+// TestRegistryBounded: Announces from more than maxPeers nodes leave
+// maxPeers registrations.
 func TestRegistryBounded(t *testing.T) {
-	eng, net, bs := setup(t, Config{MaxPeers: 5})
-	for i := simnet.NodeID(100); i < 120; i++ {
-		join(t, eng, net, i, 3)
+	eng, net, bs := setup(t, simnet.Hour)
+	for i := simnet.NodeID(100); i < 100+maxPeers+20; i++ {
+		net.Send(i, 1, Announce{})
 	}
-	if bs.Size() > 5 {
-		t.Errorf("registry grew to %d, bound 5", bs.Size())
+	eng.RunUntil(eng.Now() + simnet.Second)
+	if bs.Size() != maxPeers {
+		t.Errorf("registry holds %d, want maxPeers = %d", bs.Size(), maxPeers)
 	}
-	_ = eng
 }
 
 func TestWireSizes(t *testing.T) {

@@ -341,7 +341,7 @@ func (n *Node) dispatch(from NodeID, msg simnet.Message) {
 }
 
 // Deliver implements simnet.Handler, so embedders that wrap the node's
-// handler (e.g. cmd/vitis-node's join dance) can forward messages to it.
+// handler (internal/deploy's membership) can forward messages to it.
 func (n *Node) Deliver(from NodeID, msg simnet.Message) { n.dispatch(from, msg) }
 
 // heartbeat is Algorithm 6: refresh proposals, prune stale neighbors, and

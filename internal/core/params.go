@@ -68,7 +68,7 @@ type Params struct {
 	// (handleProfile): reactive replies only to peers outside the routing
 	// table, and a digest beacon instead of an unchanged profile. Off by
 	// default so simulated experiment tables stay byte-identical to the
-	// plain protocol; real deployments (cmd/vitis-node) switch it on.
+	// plain protocol; real deployments (internal/deploy) switch it on.
 	Recovery bool
 	// ReplayDepth bounds how many recent events per subscribed topic are
 	// retained for replay to recovering peers (default 128; only used with
@@ -153,7 +153,7 @@ type Hooks struct {
 	// Now supplies the millisecond clock stamped into published events
 	// (Notification.PubTime) and used to measure publish-to-deliver
 	// latency. Nil falls back to the engine clock — globally consistent
-	// within one simulation; real processes (cmd/vitis-node) pass wall time
+	// within one simulation; deployed nodes (internal/deploy) pass wall time
 	// so latency is meaningful across machines. Skewed clocks can only make
 	// individual measurements read as zero, never negative.
 	Now func() int64

@@ -26,14 +26,15 @@ var news = core.Topic("news")
 // network, each node on its own SyncHost over the Sim carrier, as
 // cmd/vitis-node puts each node on its own UDP host.
 type world struct {
-	eng *simnet.Engine
-	net *simnet.Network
-	log []string // one line per delivery, in engine order
+	eng    *simnet.Engine
+	net    *simnet.Network
+	period simnet.Time
+	log    []string // one line per delivery, in engine order
 }
 
 func newWorld(seed int64) *world {
 	eng := simnet.NewEngine(seed)
-	return &world{eng: eng, net: simnet.NewNetwork(eng, simnet.ConstantLatency(20))}
+	return &world{eng: eng, net: simnet.NewNetwork(eng, simnet.ConstantLatency(20)), period: period}
 }
 
 func (w *world) host() *transport.Host {
@@ -44,7 +45,7 @@ func (w *world) host() *transport.Host {
 // join lines in out.
 func (w *world) node(i int, out *strings.Builder) *deploy.Node {
 	cfg := deploy.Config{
-		Self: idspace.HashUint64(uint64(i)), Bootstrap: bsID, Period: period,
+		Self: idspace.HashUint64(uint64(i)), Bootstrap: bsID, Period: w.period,
 		Subscribe: []core.TopicID{news}, Registry: telemetry.NewRegistry(),
 		OnDeliver: func(n core.NodeID, _ core.TopicID, ev core.EventID, hops int) {
 			w.log = append(w.log, fmt.Sprintf("t=%d node=%016x event=%016x:%d hops=%d",
@@ -142,24 +143,51 @@ func TestIsolatedNodeRejoinsThroughBootstrap(t *testing.T) {
 	}
 }
 
-// TestAnnouncesKeepRegistration: two joined nodes stay registered with the
-// bootstrap node across more than three 30-period leases. Two, because a
-// lone node is isolated and its rejoin requests would refresh it.
+// TestAnnouncesKeepRegistration: a lone joined node stays registered with
+// the bootstrap node across many 30-period leases. The node is isolated
+// and keeps sending JoinReqs, which register it too, so the test runs at a
+// 100ms period: the lease is then 3s, and once the JoinReqs' backoff has
+// grown past that (it doubles from one period up to 30s) only the
+// announces, every ten periods, can keep the registration alive.
 func TestAnnouncesKeepRegistration(t *testing.T) {
 	w := newWorld(3)
-	bs := deploy.Bootstrap(w.host(), bsID, period)
-	a, b := w.node(0, nil), w.node(1, nil)
+	w.period = 100 * simnet.Millisecond
+	bs := deploy.Bootstrap(w.host(), bsID, w.period)
+	a := w.node(0, nil)
 	lapsed := simnet.Time(-1)
-	w.eng.Every(period, func() bool {
-		if a.Joined() && b.Joined() && bs.Size() != 2 && lapsed < 0 {
+	w.eng.Every(w.period, func() bool {
+		if a.Joined() && bs.Size() != 1 && lapsed < 0 {
 			lapsed = w.eng.Now()
 		}
 		return true
 	})
-	w.eng.RunUntil(100 * period)
-	if !a.Joined() || !b.Joined() || lapsed >= 0 || a.Metrics().Rejoins.Value()+b.Metrics().Rejoins.Value() != 0 {
-		t.Errorf("joined=%v,%v, registrations lapsed at %dms (-1 = never), rejoins %d+%d; want joined, never, none",
-			a.Joined(), b.Joined(), lapsed, a.Metrics().Rejoins.Value(), b.Metrics().Rejoins.Value())
+	w.eng.RunUntil(1000 * w.period)
+	if !a.Joined() || lapsed >= 0 || a.Metrics().Rejoins.Value() != 0 {
+		t.Errorf("joined=%v, registration lapsed at %dms (-1 = never), rejoins %d; want joined, never, none",
+			a.Joined(), lapsed, a.Metrics().Rejoins.Value())
+	}
+}
+
+// TestLoneNodeQuiet: the first node of a cluster joins with no peers and
+// is isolated from then on. Its JoinReqs follow one backoff that doubles
+// from one period, and it logs its join and one isolation line, not a pair
+// of lines every two periods.
+func TestLoneNodeQuiet(t *testing.T) {
+	w := newWorld(5)
+	h := w.host()
+	bs := deploy.Bootstrap(h, bsID, period)
+	asked := 0
+	h.Attach(bsID, simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
+		if _, ok := msg.(bootstrap.JoinReq); ok {
+			asked++
+		}
+		bs.Deliver(from, msg)
+	}))
+	var out strings.Builder
+	w.node(0, &out)
+	w.eng.RunUntil(20 * period)
+	if lines := strings.Count(out.String(), "\n"); asked > 6 || lines > 3 {
+		t.Errorf("%d JoinReqs and %d log lines in 20 periods, want at most 6 and 3; log:\n%s", asked, lines, out.String())
 	}
 }
 

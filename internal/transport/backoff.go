@@ -7,56 +7,47 @@ import (
 	"time"
 )
 
-// Backoff computes bounded exponential retry delays with optional jitter.
-// It is pure state-free arithmetic — callers keep the attempt counter — so
-// one value can be shared by any number of retry loops. The zero value is
-// usable and takes the defaults noted on the fields.
+// Backoff computes bounded exponential retry delays with jitter: each
+// delay doubles the one before up to Max and is drawn uniformly from
+// [d/2, d]. It is pure state-free arithmetic — callers keep the attempt
+// counter — so one value can be shared by any number of retry loops. The
+// zero value is usable and takes the defaults noted on the fields.
 //
 // Jittered retries are the paper's §III-D failure posture applied to
 // control traffic: a burst of nodes rejoining after a partition must not
 // retry in lockstep, or the bootstrap point sees the thundering herd at
-// every interval. Both cmd/vitis-node's join/announce loops and
+// every interval. Both internal/deploy's join and rejoin requests and
 // UDP.Resolve lean on this type.
 type Backoff struct {
 	// Base is the first delay (attempt 0). Default 100ms.
 	Base time.Duration
 	// Max caps the grown delay before jitter. Default 5s.
 	Max time.Duration
-	// Factor is the per-attempt growth multiplier. Default 2.
-	Factor float64
-	// Jitter is the fraction of each delay that is randomised: the delay
-	// is drawn uniformly from [d·(1−Jitter), d]. Zero disables jitter,
-	// which also makes Delay deterministic for a nil rng.
-	Jitter float64
 }
 
+// backoffJitter is the fraction of each delay that is randomised.
+const backoffJitter = 0.5
+
 // Delay returns the delay before retry number attempt (0-based). A nil rng
-// disables jitter regardless of the Jitter field, which keeps simulated
-// and tested schedules reproducible.
+// disables jitter, which keeps simulated and tested schedules
+// reproducible.
 func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
-	base, max, factor := b.Base, b.Max, b.Factor
+	base, max := b.Base, b.Max
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
 	if max <= 0 {
 		max = 5 * time.Second
 	}
-	if factor < 1 {
-		factor = 2
-	}
 	d := float64(base)
 	for i := 0; i < attempt && d < float64(max); i++ {
-		d *= factor
+		d *= 2
 	}
 	if d > float64(max) {
 		d = float64(max)
 	}
-	if b.Jitter > 0 && rng != nil {
-		j := b.Jitter
-		if j > 1 {
-			j = 1
-		}
-		d = d * (1 - j*rng.Float64())
+	if rng != nil {
+		d = d * (1 - backoffJitter*rng.Float64())
 	}
 	return time.Duration(d)
 }

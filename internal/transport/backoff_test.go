@@ -8,7 +8,7 @@ import (
 )
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 1 * time.Second, Factor: 2}
+	b := Backoff{Base: 100 * time.Millisecond, Max: 1 * time.Second}
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
@@ -35,7 +35,7 @@ func TestBackoffZeroValueDefaults(t *testing.T) {
 }
 
 func TestBackoffJitterStaysInRange(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
+	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second}
 	rng := rand.New(rand.NewSource(1))
 	for attempt := 0; attempt < 6; attempt++ {
 		full := b.Delay(attempt, nil) // jitter disabled without an rng

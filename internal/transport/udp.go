@@ -214,7 +214,7 @@ func (u *UDP) Resolve(addr string, timeout time.Duration) (simnet.NodeID, error)
 		return 0, &ResolveError{Addr: addr, Err: err}
 	}
 	want := unmapped(ua.AddrPort())
-	bo := Backoff{Base: helloBackoff, Max: 2 * time.Second, Jitter: 0.5}
+	bo := Backoff{Base: helloBackoff, Max: 2 * time.Second}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	deadline := time.Now().Add(timeout)
 	var lastErr error

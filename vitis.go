@@ -22,8 +22,8 @@ import (
 	"sort"
 	"time"
 
-	"vitis/internal/bootstrap"
 	"vitis/internal/core"
+	"vitis/internal/deploy"
 	"vitis/internal/idspace"
 	"vitis/internal/overlay"
 	"vitis/internal/simnet"
@@ -46,10 +46,10 @@ type Options struct {
 	// it to the approximate cluster size (default 10000).
 	ExpectedNodes int
 	// UseBootstrapService runs a dedicated bootstrap node (Algorithm 1's
-	// "contacts a bootstrap node"): AddNode then discovers its initial
-	// peers over the wire instead of receiving them out of band, so the
-	// node only enters the overlay once the bootstrap response arrives
-	// (advance the clock with Run). Without it, joins are instantaneous.
+	// "contacts a bootstrap node") and a deployed node's membership: a node
+	// enters the overlay once the bootstrap response arrives (advance the
+	// clock with Run), retrying with backoff, then announces itself and
+	// rejoins when isolated. Without it, joins are instantaneous.
 	UseBootstrapService bool
 }
 
@@ -85,10 +85,8 @@ type Cluster struct {
 	nodes map[string]*Node
 	byID  map[simnet.NodeID]*Node
 
-	topicNames map[core.TopicID]string
-
-	bootstrapID  simnet.NodeID
-	bootstrapSvc *bootstrap.Service
+	topicNames  map[core.TopicID]string
+	bootstrapID simnet.NodeID
 
 	// traffic accounting for Stats.
 	received     int
@@ -130,8 +128,7 @@ func NewCluster(opts Options) *Cluster {
 	}
 	if opts.UseBootstrapService {
 		c.bootstrapID = idspace.HashString("vitis:bootstrap-service")
-		c.bootstrapSvc = bootstrap.New(net, c.bootstrapID, bootstrap.Config{})
-		net.Attach(c.bootstrapID, simnet.HandlerFunc(c.bootstrapSvc.Deliver))
+		deploy.Bootstrap(net, c.bootstrapID, simnet.Second) // core's default gossip period
 	}
 	return c
 }
@@ -172,31 +169,11 @@ func (c *Cluster) AddNode(name string) *Node {
 	c.nodes[name] = n
 	c.byID[id] = n
 	if c.opts.UseBootstrapService {
-		c.joinViaBootstrap(n, id)
+		deploy.Join(c.net, n.impl, c.bootstrapID, simnet.Second, nil)
 	} else {
 		n.impl.Join(c.bootstrapPeers(3))
 	}
 	return n
-}
-
-// joinViaBootstrap performs Algorithm 1's wire-level join: ask the
-// bootstrap node for peers, enter the overlay when they arrive, then keep
-// the registration alive with periodic announces.
-func (c *Cluster) joinViaBootstrap(n *Node, id simnet.NodeID) {
-	c.net.Attach(id, simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
-		if resp, ok := msg.(bootstrap.JoinResp); ok {
-			// impl.Join re-attaches the node's real dispatcher.
-			n.impl.Join(resp.Peers)
-		}
-	}))
-	c.net.Send(id, c.bootstrapID, bootstrap.JoinReq{Want: 3})
-	c.eng.Every(10*simnet.Second, func() bool {
-		if !c.net.Alive(id) {
-			return false
-		}
-		c.net.Send(id, c.bootstrapID, bootstrap.Announce{})
-		return true
-	})
 }
 
 // bootstrapPeers returns up to k ids of existing live nodes,
