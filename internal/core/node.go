@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"vitis/internal/idspace"
 	"vitis/internal/ring"
 	"vitis/internal/sampling"
 	"vitis/internal/simnet"
@@ -65,6 +64,14 @@ type Node struct {
 	fwdTargets []NodeID
 	propNbrs   []NodeID
 	propBest   []Proposal
+	sampleIDs  []NodeID
+	samples    []tman.Descriptor
+	// prop is Algorithm 5's neighbour intersections as of the last
+	// heartbeat (see propCache); subsGen counts subsView rebuilds, so an
+	// intersection taken against an older subscription list is never
+	// reused.
+	prop    *propCache
+	subsGen uint64
 
 	// Physical-topology extension of the preference function (§III-A2).
 	proximity       func(peer NodeID) float64
@@ -90,9 +97,16 @@ type Node struct {
 	// knownSubs holds, for every candidate a selection has seen with a
 	// T-Man payload, its latest subscription list and that list's cached
 	// Eq. 1 utility against this node's own (the knownSubs type says when
-	// the score is reset). It is never pruned: it grows with every id the
-	// node has ever ranked, one 32-byte value each.
-	knownSubs map[NodeID]knownSubs
+	// the score is reset), one 32-byte value each. It is bounded by age:
+	// every id a selection's buffer names sets its bit in named, a bitset
+	// over the ids' low bits, and every knownSubsBeats heartbeats
+	// ageKnownSubs drops the entries whose bit is clear and starts a new
+	// generation. An entry thus lives knownSubsBeats to twice that after
+	// its id was last named; one whose bit a named id shares stays a
+	// generation longer.
+	knownSubs  map[NodeID]knownSubs
+	named      []uint64
+	knownBeats int
 	// lost remembers evicted peers (bounded) past the suspicion tombstone,
 	// so a peer returning after a long partition is still recognized as a
 	// recovery rather than a stranger (see recovery.go).
@@ -165,6 +179,8 @@ func NewNode(net simnet.Net, id NodeID, params Params, hooks Hooks) *Node {
 		profiles:    make(map[NodeID]*Profile),
 		reverse:     make(map[NodeID]simnet.Time),
 		knownSubs:   make(map[NodeID]knownSubs),
+		prop:        new(propCache),
+		named:       make([]uint64, namedMinWords),
 		lost:        make(map[NodeID]simnet.Time),
 		recent:      make(map[TopicID][]replayRecord),
 		replayAsk:   make(map[NodeID]int),
@@ -275,9 +291,7 @@ func (n *Node) Join(bootstrap []NodeID) {
 		SelfDescriptor: func() tman.Descriptor {
 			return tman.Descriptor{ID: n.id, Payload: n.buildProfile().Summary()}
 		},
-		SampleNodes: func() []tman.Descriptor {
-			return ring.Descriptors(n.sampler.Sample(sampling.SampleSize))
-		},
+		SampleNodes:     n.sampleNodes,
 		SelectNeighbors: n.selectNeighbors,
 		Metrics:         &n.tel.TMan,
 	}, ring.Descriptors(bootstrap), n.rng)
@@ -291,6 +305,18 @@ func (n *Node) Join(bootstrap []NodeID) {
 		n.heartbeat()
 		return true
 	})
+}
+
+// sampleNodes is T-Man's SampleNodes: SampleSize ids from the peer
+// sampling view as payload-less descriptors, in the node's scratch and
+// valid until the next call.
+func (n *Node) sampleNodes() []tman.Descriptor {
+	n.sampleIDs = n.sampler.SampleInto(n.sampleIDs, sampling.SampleSize)
+	n.samples = n.samples[:0]
+	for _, id := range n.sampleIDs {
+		n.samples = append(n.samples, tman.Descriptor{ID: id})
+	}
+	return n.samples
 }
 
 // Leave removes the node from the network immediately (ungraceful, as in
@@ -390,6 +416,10 @@ func (n *Node) heartbeat() {
 	if n.seen.Tick() {
 		n.evictPullState()
 	}
+	if n.knownBeats++; n.knownBeats >= knownSubsBeats {
+		n.knownBeats = 0
+		n.ageKnownSubs()
+	}
 	n.updateGauges(now)
 }
 
@@ -407,32 +437,41 @@ func (n *Node) evictNeighbor(id NodeID) {
 }
 
 // updateGauges refreshes the node's state gauges once per heartbeat. With
-// telemetry disabled every Set is a nil-receiver no-op.
+// telemetry disabled every Set is a nil-receiver no-op, and the walks over
+// the reverse neighbours, proposals and relays behind three of them are
+// skipped.
 func (n *Node) updateGauges(now simnet.Time) {
 	n.tel.RoutingTableSize.Set(int64(n.xchg.Len()))
-	fresh := 0
-	for _, exp := range n.reverse {
-		if exp > now {
-			fresh++
-		}
-	}
-	n.tel.ReverseNeighbors.Set(int64(fresh))
 	n.tel.SeenEvents.Set(int64(n.seen.Len()))
 	n.tel.PullBacklog.Set(int64(n.PullBookkeepingSize()))
-	gw, relays := 0, 0
-	for _, p := range n.proposals {
-		if p.GW == n.id {
-			gw++
-		}
-	}
-	for _, rs := range n.relays {
-		if rs.Live(now) {
-			relays++
-		}
-	}
-	n.tel.GatewayTopics.Set(int64(gw))
-	n.tel.RelayTopics.Set(int64(relays))
 	n.tel.CatchUpPending.Set(int64(len(n.catchUp)))
+	if n.tel.ReverseNeighbors != nil {
+		fresh := 0
+		for _, exp := range n.reverse {
+			if exp > now {
+				fresh++
+			}
+		}
+		n.tel.ReverseNeighbors.Set(int64(fresh))
+	}
+	if n.tel.GatewayTopics != nil {
+		gw := 0
+		for _, p := range n.proposals {
+			if p.GW == n.id {
+				gw++
+			}
+		}
+		n.tel.GatewayTopics.Set(int64(gw))
+	}
+	if n.tel.RelayTopics != nil {
+		relays := 0
+		for _, rs := range n.relays {
+			if rs.Live(now) {
+				relays++
+			}
+		}
+		n.tel.RelayTopics.Set(int64(relays))
+	}
 }
 
 // wantMsg asks a peer for its full profile; boxed once for every sender.
@@ -563,7 +602,8 @@ func (n *Node) sortedSubs() []TopicID {
 
 // subsView returns the sorted subscription list together with its Eq. 1
 // rate mass, rebuilding both if the set or rate function changed. A rebuild
-// resets every candidate score cached in knownSubs.
+// resets every candidate score cached in knownSubs and starts a new
+// subsGen, which retires every intersection propCache holds.
 func (n *Node) subsView() ([]TopicID, float64) {
 	if n.subsDirty {
 		out := make([]TopicID, 0, len(n.subs))
@@ -574,92 +614,13 @@ func (n *Node) subsView() ([]TopicID, float64) {
 		n.subsSorted = out
 		n.subsWeight = weightSum(out, n.rate)
 		n.subsDirty = false
+		n.subsGen++
 		for id, k := range n.knownSubs {
 			k.u = unscored
 			n.knownSubs[id] = k
 		}
 	}
 	return n.subsSorted, n.subsWeight
-}
-
-// updateProposals is Algorithm 5: for every subscribed topic, adopt the best
-// gateway proposal among interested neighbors, subject to loop avoidance and
-// the hop threshold d; a node recognising itself as gateway initiates the
-// relay path.
-//
-// The first pass walks the sorted neighbors once and merges each one's
-// proposals against the sorted subscriptions, so every topic sees its
-// neighbors in ascending order. A profile proposes only for topics it
-// subscribes to, so "interested and proposing" is "in Proposals". The
-// second pass does the side effects in ascending topic order: relay
-// lookups send messages, and deterministic send order keeps whole runs
-// reproducible.
-func (n *Node) updateProposals() {
-	n.propNbrs = n.clusterNeighborsInto(n.propNbrs)
-	neighbors := n.propNbrs
-	subs := n.sortedSubs()
-	best := n.propBest[:0]
-	for range subs {
-		best = append(best, Proposal{GW: n.id, Parent: n.id})
-	}
-	n.propBest = best
-	for _, nb := range neighbors {
-		p := n.profiles[nb]
-		if p == nil {
-			continue
-		}
-		i := 0
-		for _, tp := range p.Proposals {
-			for i < len(subs) && subs[i] < tp.Topic {
-				i++
-			}
-			if i == len(subs) {
-				break
-			}
-			if subs[i] != tp.Topic {
-				continue
-			}
-			// Loop avoidance: accept only proposals the neighbor
-			// originated itself or whose parent we cannot reach —
-			// and never proposals derived from us.
-			next := tp.Proposal
-			if next.Parent == n.id {
-				continue
-			}
-			if next.Parent != nb {
-				if _, reach := slices.BinarySearch(neighbors, next.Parent); reach {
-					continue
-				}
-			}
-			prop := &best[i]
-			curDis := idspace.Distance(prop.GW, tp.Topic)
-			newDis := idspace.Distance(next.GW, tp.Topic)
-			if newDis < curDis && next.Hops+1 < n.params.GatewayHops {
-				*prop = Proposal{GW: next.GW, Parent: nb, Hops: next.Hops + 1}
-			}
-			if next.GW == prop.GW && next.Hops+1 < prop.Hops {
-				*prop = Proposal{GW: next.GW, Parent: nb, Hops: next.Hops + 1}
-			}
-		}
-	}
-	for i, t := range subs {
-		prop := best[i]
-		old, had := n.proposals[t]
-		if !had || old.GW != prop.GW {
-			n.tel.GatewayChanges.Inc()
-			n.tracer.Emit(telemetry.SpanEvent{
-				Kind: telemetry.KindGateway, Node: uint64(n.id),
-				Peer: uint64(prop.GW), Topic: uint64(t), Hops: prop.Hops,
-			})
-		}
-		if !had || old != prop {
-			n.proposals[t] = prop
-			n.profileCache = nil
-		}
-		if prop.GW == n.id {
-			n.requestRelay(t)
-		}
-	}
 }
 
 // clusterNeighborsInto appends the ids of nodes forming the (symmetrized)

@@ -158,16 +158,24 @@ func (w *proposalWorld) pick(rng *rand.Rand, self NodeID) NodeID {
 
 // hear stores a fresh random profile from id.
 func (w *proposalWorld) hear(rng *rand.Rand, id NodeID) {
-	p := &Profile{ID: id}
+	var subs []TopicID
 	for _, tp := range w.topics {
 		if rng.Intn(3) > 0 {
-			p.Subs = append(p.Subs, tp)
+			subs = append(subs, tp)
 		}
 	}
-	slices.Sort(p.Subs)
-	p.Subs = slices.Compact(p.Subs)
+	slices.Sort(subs)
+	w.send(rng, id, slices.Compact(subs))
+}
+
+// send stores a profile from id with the given Subs and fresh random
+// proposals: one for every topic half of the time (as every profile after
+// its owner's first heartbeat), for a random subset otherwise.
+func (w *proposalWorld) send(rng *rand.Rand, id NodeID, subs []TopicID) {
+	p := &Profile{ID: id, Subs: subs}
+	aligned := rng.Intn(2) == 0
 	for _, tp := range p.Subs {
-		if rng.Intn(4) == 0 {
+		if !aligned && rng.Intn(4) == 0 {
 			continue
 		}
 		gw := w.pick(rng, w.n.id)
@@ -185,26 +193,64 @@ func (w *proposalWorld) hear(rng *rand.Rand, id NodeID) {
 	w.n.handleProfile(id, ProfileMsg{Profile: p, Reply: true})
 }
 
-// rehear replaces the profiles of up to four random pool nodes.
-func (w *proposalWorld) rehear(rng *rand.Rand) {
-	for i := 0; i < 4; i++ {
-		w.hear(rng, w.pool[rng.Intn(len(w.pool))])
+// change applies one random change between two Algorithm 5 passes: new
+// subscription lists, a profile swapped for one with the same Subs slice
+// or an equal copy of it (as the wire decodes it), the node's own
+// Subscribe, Unsubscribe or SetRate, or a neighbour leaving or returning.
+func (w *proposalWorld) change(rng *rand.Rand) {
+	id := w.pool[rng.Intn(len(w.pool))]
+	switch rng.Intn(8) {
+	case 0:
+		for i := 0; i < 4; i++ {
+			w.hear(rng, w.pool[rng.Intn(len(w.pool))])
+		}
+	case 1, 2:
+		if p := w.n.profiles[id]; p != nil {
+			w.send(rng, id, p.Subs)
+		}
+	case 3:
+		if p := w.n.profiles[id]; p != nil {
+			w.send(rng, id, slices.Clone(p.Subs))
+		}
+	case 4:
+		w.n.Subscribe(w.topics[rng.Intn(len(w.topics))])
+	case 5:
+		w.n.Unsubscribe(w.topics[rng.Intn(len(w.topics))])
+	case 6:
+		if rng.Intn(2) == 0 {
+			w.n.SetRate(nil)
+		} else {
+			w.n.SetRate(func(TopicID) float64 { return 2 })
+		}
+	case 7:
+		if w.n.profiles[id] == nil {
+			w.hear(rng, id) // returning as a reverse neighbour
+			return
+		}
+		w.n.xchg.Remove(id)
+		delete(w.n.reverse, id)
+		w.n.dropProfile(id)
 	}
 }
 
 // TestUpdateProposalsMatchesNestedLoop runs the merge and the nested-loop
-// reference on twin random fixtures, twice each with fresh profiles in
-// between, and requires the same proposals, gateway-change count, profile
-// invalidation and relay lookups in the same order.
+// reference on twin random fixtures over sequences of heartbeats, with one
+// to three random changes (proposalWorld.change) between passes, and
+// requires the same proposals, gateway-change count, profile invalidation
+// and relay lookups in the same order after every pass.
 func TestUpdateProposalsMatchesNestedLoop(t *testing.T) {
 	adopted, sent := 0, 0
 	for trial := int64(0); trial < 300; trial++ {
 		rngA, rngB := rand.New(rand.NewSource(trial)), rand.New(rand.NewSource(trial))
 		a, b := newProposalWorld(t, rngA), newProposalWorld(t, rngB)
-		for round := 0; round < 2; round++ {
+		for round := 0; round < 10; round++ {
 			if round > 0 {
-				a.rehear(rngA)
-				b.rehear(rngB)
+				for range 1 + rngA.Intn(3) {
+					a.change(rngA)
+				}
+				for range 1 + rngB.Intn(3) {
+					b.change(rngB)
+				}
 			}
 			a.n.profileCache, b.n.profileCache = &Profile{}, &Profile{}
 			a.n.updateProposals()
@@ -231,6 +277,69 @@ func TestUpdateProposalsMatchesNestedLoop(t *testing.T) {
 	}
 	if adopted == 0 || sent == 0 {
 		t.Fatalf("%d adopted proposals, %d relay lookups: the fixture exercises too little", adopted, sent)
+	}
+}
+
+// TestProposalIntersectionsCarryOver checks that Algorithm 5 reuses a
+// neighbour's cached intersection exactly while its Subs and the node's own
+// list stand. It poisons every cached intersection (no topic in common),
+// then gives each neighbour a new profile: with the same Subs slice, an
+// equal copy of it, or a shorter list. The poison must survive for the
+// first two and be gone for the third; after the node's own Subscribe it
+// must be gone everywhere.
+func TestProposalIntersectionsCarryOver(t *testing.T) {
+	n := proposalBench(t)
+	poison := func() {
+		clear(n.prop.words)
+	}
+	// entry returns neighbour id's cached Subs and words.
+	entry := func(id NodeID) ([]TopicID, []uint64) {
+		mw, off := bitWords(len(n.sortedSubs())), 0
+		for _, e := range n.prop.entries {
+			w := span(e.subs, mw)
+			if e.id == id {
+				return e.subs, n.prop.words[off : off+w]
+			}
+			off += w
+		}
+		t.Fatalf("%v is not in the neighbour snapshot", id)
+		return nil, nil
+	}
+	zero := func(ws []uint64) bool { return !slices.ContainsFunc(ws, func(w uint64) bool { return w != 0 }) }
+	poison()
+	kinds := make(map[NodeID]int)
+	for i, nb := range n.propNbrs {
+		p := n.profiles[nb]
+		kinds[nb] = i % 3
+		q := &Profile{ID: nb, Subs: p.Subs, Proposals: slices.Clone(p.Proposals)}
+		switch i % 3 {
+		case 1:
+			q.Subs = slices.Clone(p.Subs)
+		case 2:
+			q.Subs, q.Proposals = p.Subs[1:], q.Proposals[1:]
+		}
+		for k := range q.Proposals {
+			q.Proposals[k].Proposal.Hops++ // a new profile, not an equal one
+		}
+		n.handleProfile(nb, ProfileMsg{Profile: q, Reply: true})
+	}
+	n.updateProposals()
+	for _, nb := range n.propNbrs {
+		subs, ws := entry(nb)
+		if p := n.profiles[nb]; len(subs) == 0 || &subs[0] != &p.Subs[0] {
+			t.Fatalf("%v: the cache does not hold the profile's Subs slice", nb)
+		}
+		if kept := kinds[nb] < 2; zero(ws) != kept {
+			t.Errorf("%v (change kind %d): poisoned intersection kept %v, want %v", nb, kinds[nb], zero(ws), kept)
+		}
+	}
+	poison()
+	n.Subscribe(perfTopics(80)[79])
+	n.updateProposals()
+	for _, nb := range n.propNbrs {
+		if _, ws := entry(nb); zero(ws) {
+			t.Errorf("%v: an intersection taken before Subscribe was reused", nb)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"vitis/internal/ring"
@@ -101,7 +102,8 @@ type scored struct {
 	u float64
 }
 
-// selScratch holds selectNeighbors' reusable buffers. One instance per node;
+// selScratch holds selectNeighbors' reusable buffers (rest holds the
+// best friend candidates while they are ranked). One instance per node;
 // valid because a node is single-threaded and selection never re-enters
 // itself (see DESIGN.md "Performance").
 type selScratch struct {
@@ -125,6 +127,7 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 		return nil
 	}
 	for _, d := range buffer {
+		n.markNamed(d.ID)
 		if subs, ok := payloadSubs(d); ok {
 			n.recordSubs(d.ID, subs)
 		}
@@ -141,9 +144,10 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 	// Friends by descending utility (lines 11–15); ties break on id for
 	// determinism. Candidates with unknown subscriptions score zero but
 	// can still fill otherwise-empty slots, keeping young overlays
-	// connected.
+	// connected. Only the RTSize-Len() best are kept, in rank order.
 	mine, myWeight := n.subsView()
-	rest := n.sel.rest[:0]
+	free := n.params.RTSize - sl.Len()
+	top := n.sel.rest[:0]
 	for _, d := range buffer {
 		if sl.Taken(d.ID) {
 			continue
@@ -152,31 +156,36 @@ func (n *Node) selectNeighbors(buffer []tman.Descriptor) []tman.Descriptor {
 		if n.proximity != nil && n.proximityWeight > 0 {
 			u = (1-n.proximityWeight)*u + n.proximityWeight*n.proximity(d.ID)
 		}
-		rest = append(rest, scored{d: d, u: u})
+		top = keepBest(top, scored{d: d, u: u}, free)
 	}
-	slices.SortFunc(rest, func(a, b scored) int {
-		if a.u != b.u {
-			if a.u > b.u {
-				return -1
-			}
-			return 1
-		}
-		if a.d.ID < b.d.ID {
-			return -1
-		}
-		if a.d.ID > b.d.ID {
-			return 1
-		}
-		return 0
-	})
-	for _, s := range rest {
-		if sl.Len() >= n.params.RTSize {
-			break
-		}
+	for _, s := range top {
 		sl.Take(s.d)
 	}
-	n.sel.rest = rest
+	n.sel.rest = top
 	return sl.Selected()
+}
+
+// ranksBefore is the friend order: higher utility first, then lower id.
+func (s scored) ranksBefore(o scored) bool {
+	return s.u > o.u || s.u == o.u && s.d.ID < o.d.ID
+}
+
+// keepBest inserts c into top, which holds at most k candidates in rank
+// order, dropping the last one when top is full and c outranks it.
+func keepBest(top []scored, c scored, k int) []scored {
+	if len(top) >= k {
+		if k <= 0 || !c.ranksBefore(top[k-1]) {
+			return top
+		}
+		top = top[:k-1]
+	}
+	i := len(top)
+	top = append(top, c)
+	for ; i > 0 && c.ranksBefore(top[i-1]); i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = c
+	return top
 }
 
 // subsOf extracts a candidate's subscription list from its descriptor
@@ -202,6 +211,43 @@ func (n *Node) subsOf(d tman.Descriptor) []TopicID {
 type knownSubs struct {
 	subs []TopicID
 	u    float64
+}
+
+// knownSubsBeats is how many heartbeats one knownSubs generation lasts: an
+// entry whose id no T-Man buffer names for that long ages out, and one that
+// is named again is recorded afresh from its payload.
+const knownSubsBeats = 30
+
+// namedMinWords is the smallest named bitset, 1024 bits; ageKnownSubs grows
+// it to about four bits per entry kept, so that few ids share a bit.
+const namedMinWords = 16
+
+// namedBit locates id's bit in the named bitset: its word and mask.
+func (n *Node) namedBit(id NodeID) (*uint64, uint64) {
+	b := uint64(id) & uint64(64*len(n.named)-1)
+	return &n.named[b/64], 1 << (b % 64)
+}
+
+// markNamed notes that a selection's buffer named id in this generation.
+func (n *Node) markNamed(id NodeID) {
+	w, bit := n.namedBit(id)
+	*w |= bit
+}
+
+// ageKnownSubs ends a generation: it drops every knownSubs entry whose id
+// no buffer named in it and clears the named bitset, grown to a power of
+// two of words with about four bits per entry kept.
+func (n *Node) ageKnownSubs() {
+	for id := range n.knownSubs {
+		if w, bit := n.namedBit(id); *w&bit == 0 {
+			delete(n.knownSubs, id)
+		}
+	}
+	if words := bitWords(4 * len(n.knownSubs)); words > len(n.named) {
+		n.named = make([]uint64, 1<<bits.Len(uint(words-1)))
+	} else {
+		clear(n.named)
+	}
 }
 
 // unscored marks a knownSubs entry whose utility has not been computed;

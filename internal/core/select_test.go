@@ -454,3 +454,86 @@ func selectFresh(n *Node, buffer []tman.Descriptor) []tman.Descriptor {
 	}
 	return sl.Selected()
 }
+
+// TestKeepBestMatchesSort: keeping the best k candidates one at a time
+// gives the first k of a full sort by (utility desc, id asc), on random
+// utilities with many ties and any k, negative and oversized included.
+func TestKeepBestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		ids := rng.Perm(1000)
+		cands := make([]scored, rng.Intn(40))
+		for i := range cands {
+			cands[i] = scored{d: tman.Descriptor{ID: NodeID(ids[i])}, u: float64(rng.Intn(5)) / 4}
+		}
+		k := rng.Intn(len(cands)+4) - 2
+		var top []scored
+		for _, c := range cands {
+			top = keepBest(top, c, k)
+		}
+		want := slices.Clone(cands)
+		slices.SortStableFunc(want, func(a, b scored) int {
+			if c := cmp.Compare(b.u, a.u); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.d.ID, b.d.ID)
+		})
+		want = want[:max(0, min(k, len(want)))]
+		if !slices.Equal(top, want) {
+			t.Fatalf("trial %d, k=%d: kept %v, want %v", trial, k, top, want)
+		}
+	}
+}
+
+// TestKnownSubsBounded runs a churning world to T and to 4T of virtual
+// time: 100 nodes on 5 of 100 topics each, one of them replaced by a
+// newcomer every second. The largest per-node entry count at 4T must be no
+// higher than the highest it reached, sampled every second, up to T. Aged,
+// the count is stationary by then; without aging every departed id stays
+// known and the count grows with the number of ids the world has held.
+func TestKnownSubsBounded(t *testing.T) {
+	topics := perfTopics(100)
+	rng := rand.New(rand.NewSource(3))
+	subs := func() []TopicID {
+		var l []TopicID
+		for _, i := range rng.Perm(len(topics))[:5] {
+			l = append(l, topics[i])
+		}
+		return l
+	}
+	c := newCluster(t, 100, Params{}, func(int) []TopicID { return subs() })
+	next := uint64(len(c.nodes))
+	c.eng.Every(simnet.Second, func() bool {
+		i := rng.Intn(len(c.nodes))
+		c.nodes[i].Leave()
+		nd := NewNode(c.net, idspace.HashUint64(next), Params{NetworkSizeEstimate: 100}, Hooks{})
+		next++
+		for _, tp := range subs() {
+			nd.Subscribe(tp)
+		}
+		var boot []NodeID
+		for j := 1; j <= 3; j++ {
+			boot = append(boot, c.nodes[(i+j)%len(c.nodes)].ID())
+		}
+		nd.Join(boot)
+		c.nodes[i] = nd
+		return true
+	})
+	largest := func() int {
+		most := 0
+		for _, nd := range c.nodes {
+			most = max(most, len(nd.knownSubs))
+		}
+		return most
+	}
+	const T = 5 * knownSubsBeats * simnet.Second
+	peak := 0
+	for range T / simnet.Second {
+		c.run(simnet.Second)
+		peak = max(peak, largest())
+	}
+	c.run(3 * T)
+	if at4T := largest(); at4T > peak {
+		t.Errorf("largest knownSubs: %d entries at %v, at most %d up to %v", at4T, 4*T, peak, T)
+	}
+}

@@ -77,31 +77,28 @@ func HarmonicDistance(rng *rand.Rand, n int) uint64 {
 }
 
 // Slots is the reusable scratch of one routing-table selection: the
-// descriptors picked so far, in slot order, and the ids they use. A node
-// keeps one and Resets it per selection, so steady-state selection
-// allocates nothing.
+// descriptors picked so far, in slot order. A node keeps one and Resets it
+// per selection, so steady-state selection allocates nothing. A table holds
+// a few dozen slots at most, where scanning them beats hashing their ids.
 type Slots struct {
-	used     map[NodeID]bool
 	selected []tman.Descriptor
 }
 
-// Reset starts a new selection, keeping the buffers.
-func (s *Slots) Reset() {
-	if s.used == nil {
-		s.used = make(map[NodeID]bool)
-	}
-	clear(s.used)
-	s.selected = s.selected[:0]
-}
+// Reset starts a new selection, keeping the buffer.
+func (s *Slots) Reset() { s.selected = s.selected[:0] }
 
 // Take fills the next slot with d.
-func (s *Slots) Take(d tman.Descriptor) {
-	s.selected = append(s.selected, d)
-	s.used[d.ID] = true
-}
+func (s *Slots) Take(d tman.Descriptor) { s.selected = append(s.selected, d) }
 
 // Taken reports whether id already fills a slot.
-func (s *Slots) Taken(id NodeID) bool { return s.used[id] }
+func (s *Slots) Taken(id NodeID) bool {
+	for i := range s.selected {
+		if s.selected[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
 
 // Len is the number of slots filled.
 func (s *Slots) Len() int { return len(s.selected) }
@@ -150,7 +147,7 @@ func (s *Slots) argmin(kind int, self, target idspace.ID, buffer []tman.Descript
 	bestKey := uint64(math.MaxUint64)
 	found := false
 	for _, d := range buffer {
-		if s.used[d.ID] {
+		if s.Taken(d.ID) {
 			continue
 		}
 		var k uint64

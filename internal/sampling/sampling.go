@@ -71,6 +71,12 @@ type Service struct {
 	// viewSize is ViewSize except in tests, which shrink the view.
 	viewSize int
 
+	// Scratch owned by the service: spare is the view's second buffer
+	// (merge writes the new view into it and swaps), in the filtered
+	// incoming list and perm the draw of SampleInto.
+	spare, in []Descriptor
+	perm      []int
+
 	exchanges uint64
 }
 
@@ -164,27 +170,49 @@ func (s *Service) HandleMessage(from simnet.NodeID, msg simnet.Message) bool {
 }
 
 // merge folds the incoming view into the local one, keeping the freshest
-// descriptor per id and then the ViewSize freshest overall.
+// descriptor per id and then the viewSize freshest overall, in (age, id)
+// order. The view stays in that order from its first merge on (a bootstrap
+// view is in caller order until then) and an incoming view is mostly in it
+// already, so each side is sorted only if it is not, and one walk over both
+// in (age, id) order keeps the first occurrence of each id: its freshest.
 func (s *Service) merge(incoming []Descriptor) {
-	view := s.view
+	in := s.in[:0]
 	for _, d := range incoming {
 		if d.ID != s.self {
-			view = append(view, d)
+			in = append(in, d)
 		}
 	}
-	// Sorted by (id, age), the freshest descriptor of each id comes first
-	// and compaction keeps it.
-	slices.SortFunc(view, func(a, b Descriptor) int {
-		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Age, b.Age))
-	})
-	view = slices.CompactFunc(view, func(a, b Descriptor) bool { return a.ID == b.ID })
-	// Sort by (age, id) so truncation keeps the freshest and stays
-	// deterministic.
-	slices.SortFunc(view, func(a, b Descriptor) int {
-		return cmp.Or(cmp.Compare(a.Age, b.Age), cmp.Compare(a.ID, b.ID))
-	})
-	s.view = view
-	s.truncate()
+	s.in = in
+	sortByAge(in)
+	sortByAge(s.view)
+	if cap(s.spare) < s.viewSize {
+		s.spare = make([]Descriptor, 0, s.viewSize)
+	}
+	out, view := s.spare[:0], s.view
+	for len(out) < s.viewSize && len(view)+len(in) > 0 {
+		var d Descriptor
+		if len(in) == 0 || len(view) > 0 && byAge(view[0], in[0]) <= 0 {
+			d, view = view[0], view[1:]
+		} else {
+			d, in = in[0], in[1:]
+		}
+		if !slices.ContainsFunc(out, func(e Descriptor) bool { return e.ID == d.ID }) {
+			out = append(out, d)
+		}
+	}
+	s.spare, s.view = s.view[:0], out
+}
+
+// byAge orders descriptors by (age, id): freshest first, deterministic.
+func byAge(a, b Descriptor) int {
+	return cmp.Or(cmp.Compare(a.Age, b.Age), cmp.Compare(a.ID, b.ID))
+}
+
+// sortByAge sorts ds by (age, id) unless it already is.
+func sortByAge(ds []Descriptor) {
+	if !slices.IsSortedFunc(ds, byAge) {
+		slices.SortFunc(ds, byAge)
+	}
 }
 
 func (s *Service) truncate() {
@@ -199,21 +227,34 @@ func (s *Service) View() []Descriptor {
 }
 
 // Sample returns up to n distinct node ids drawn uniformly from the current
-// view.
-func (s *Service) Sample(n int) []simnet.NodeID {
+// view, as a fresh slice.
+func (s *Service) Sample(n int) []simnet.NodeID { return s.SampleInto(nil, n) }
+
+// SampleInto is Sample into dst[:0]: it returns dst holding up to n distinct
+// ids drawn uniformly from the view. A partial sample makes exactly the
+// draws rand.Perm over the view would, into the service's own scratch, so
+// the ids and the RNG state afterwards are Perm's and a warm call
+// allocates nothing.
+func (s *Service) SampleInto(dst []simnet.NodeID, n int) []simnet.NodeID {
+	dst = dst[:0]
 	if n >= len(s.view) {
-		out := make([]simnet.NodeID, len(s.view))
-		for i, d := range s.view {
-			out[i] = d.ID
+		for _, d := range s.view {
+			dst = append(dst, d.ID)
 		}
-		return out
+		return dst
 	}
-	perm := s.rng.Perm(len(s.view))
-	out := make([]simnet.NodeID, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.view[perm[i]].ID
+	perm := s.perm[:0]
+	for i := range s.view {
+		j := s.rng.Intn(i + 1)
+		perm = append(perm, 0)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
-	return out
+	s.perm = perm
+	for _, i := range perm[:n] {
+		dst = append(dst, s.view[i].ID)
+	}
+	return dst
 }
 
 // Exchanges returns how many gossip exchanges this node initiated (used by

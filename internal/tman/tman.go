@@ -29,7 +29,9 @@ type Callbacks struct {
 	// in every outgoing buffer.
 	SelfDescriptor func() Descriptor
 	// SampleNodes returns fresh descriptors from the peer sampling layer
-	// (payload may be nil for nodes whose profile is unknown yet).
+	// (payload may be nil for nodes whose profile is unknown yet). The
+	// slice may be the callee's scratch: it is valid until the next call,
+	// and the exchanger copies what it keeps before calling again.
 	SampleNodes func() []Descriptor
 	// SelectNeighbors reduces a deduplicated candidate buffer (never
 	// containing self) to the new routing table.

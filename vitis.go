@@ -240,8 +240,17 @@ func (c *Cluster) onPayload(node core.NodeID, ev core.EventID, payload []byte) {
 // Node returns the named node, or nil if absent.
 func (c *Cluster) Node(name string) *Node { return c.nodes[name] }
 
-// Size returns the number of live nodes.
-func (c *Cluster) Size() int { return c.net.NumAlive() }
+// Size returns the number of the cluster's live nodes; the bootstrap
+// service (Options.UseBootstrapService) is not one of them.
+func (c *Cluster) Size() int {
+	alive := 0
+	for _, n := range c.byID {
+		if n.impl.Alive() {
+			alive++
+		}
+	}
+	return alive
+}
 
 // Run advances the virtual clock by d, delivering all due messages and
 // gossip rounds. Virtual time is unrelated to wall time: a 30-second warmup

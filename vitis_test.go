@@ -126,6 +126,21 @@ func TestLeaveAndSize(t *testing.T) {
 	}
 }
 
+// TestSizeWithBootstrapService checks that Size counts only the cluster's
+// own nodes when the bootstrap service shares their network.
+func TestSizeWithBootstrapService(t *testing.T) {
+	c := NewCluster(Options{Seed: 4, ExpectedNodes: 8, UseBootstrapService: true})
+	a := c.AddNode("a")
+	c.AddNode("b")
+	if got := c.Size(); got != 2 {
+		t.Errorf("Size = %d with two nodes, want 2", got)
+	}
+	a.Leave()
+	if got := c.Size(); got != 1 {
+		t.Errorf("Size = %d after one Leave, want 1", got)
+	}
+}
+
 func TestNodeLookupAndNow(t *testing.T) {
 	c := NewCluster(Options{Seed: 5})
 	c.AddNode("x")
